@@ -328,11 +328,16 @@ def cmd_design(args: argparse.Namespace) -> int:
             ["ppd", "threshold_hz", "delta_volume_pct", "delta_time_pct",
              "iterations", "terminated"]
         )
+        # The initial sweep uses the seed as `synth` does; the loop's
+        # re-measurements draw from a stream spawned from it, since reusing
+        # the seed would replay the sweep's noise at the moved points.
+        seed = int(cfg["seed"])
+        remeasure_seed = int(np.random.SeedSequence(seed).spawn(1)[0].generate_state(1)[0])
         for ppd in ppds:
             reduced = reduce_ppd(baseline, threshold, ppd)
-            spectrum = synthesize(theta, reduced, err, seed=int(cfg["seed"]))
+            spectrum = synthesize(theta, reduced, err, seed=seed)
             trace = run_design(
-                spectrum, theta, design_cfg, err=err, seed=int(cfg["seed"]),
+                spectrum, theta, design_cfg, err=err, seed=remeasure_seed,
                 reference_grid=baseline,
             )
             final = trace.final

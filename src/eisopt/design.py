@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circuit import ParameterVector
-from .exceptions import DesignError, DomainError, FitError
+from .exceptions import DesignError, DomainError, FitError, SingularInformationError
 from .estimation import FitOptions, fit_wcnls, initialize
 from .frequency import FrequencyGrid, log_spaced_inclusive, total_time
 from .information import (
@@ -149,11 +149,12 @@ class AdjustmentTrace:
 
 
 class _EigenWorkspace:
-    """Cached per-point information pieces for fast what-if evaluation.
+    """Cached per-point information pieces for batched what-if evaluation.
 
     Moving point i to frequency f changes the information matrix by
-    -P_i + P(f); each what-if costs one single-frequency model evaluation
-    and one 11x11 eigen-decomposition.
+    -P_i + P(f).  :meth:`lambdas_with_moves` answers a whole batch of such
+    questions with one model evaluation over all probe frequencies and one
+    stacked 11x11 eigendecomposition.
     """
 
     def __init__(self, theta: ParameterVector, grid: FrequencyGrid,
@@ -168,19 +169,17 @@ class _EigenWorkspace:
         self.total = np.sum(self.parts, axis=0)
         scale = eigen_scale(theta, cfg.eigen_scaling)
         self._outer = np.outer(scale, scale)
-        self.lambda_min = self._lam(self.total)
+        self.lambda_min = float(np.linalg.eigvalsh(self.total * self._outer)[0])
 
-    def _lam(self, matrix: np.ndarray) -> float:
-        return float(np.linalg.eigvalsh(matrix * self._outer)[0])
-
-    def contribution_at(self, f_hz: float) -> np.ndarray:
-        return fisher_contributions(
-            self.theta, np.array([f_hz]), self.err, self.cfg.include_variance_term
-        )[0]
-
-    def lambda_with_move(self, index: int, f_hz: float) -> float:
-        moved = self.total - self.parts[index] + self.contribution_at(f_hz)
-        return self._lam(moved)
+    def lambdas_with_moves(self, indices, freqs_hz) -> np.ndarray:
+        """Smallest scaled eigenvalue after moving point ``indices[k]`` to
+        ``freqs_hz[k]``, for every k; each move is applied on its own."""
+        contrib = fisher_contributions(
+            self.theta, np.asarray(freqs_hz, dtype=float), self.err,
+            self.cfg.include_variance_term,
+        )
+        moved = self.total - self.parts[np.asarray(indices)] + contrib
+        return np.linalg.eigvalsh(moved * self._outer)[:, 0]
 
 
 def _frozen_set(grid: FrequencyGrid, cfg: DesignConfig) -> set:
@@ -204,19 +203,16 @@ def _scan_ranking(ws: _EigenWorkspace, grid: FrequencyGrid, cfg: DesignConfig):
     frozen = _frozen_set(grid, cfg)
     if len(frozen) >= len(grid):
         raise DesignError("every grid frequency is frozen; nothing to scan")
-    scored = []
-    for i in range(len(grid)):
-        if i in frozen:
-            continue
-        logf = math.log10(ws.freqs[i])
-        score = -math.inf
-        for sign in (1.0, -1.0):
-            f_pert = 10.0 ** (logf + sign * cfg.scan_step_decades)
-            lam = ws.lambda_with_move(i, f_pert)
-            score = max(score, (lam - ws.lambda_min) / cfg.scan_step_decades)
-        scored.append((-score, i))
-    scored.sort()
-    return [i for _, i in scored]
+    free = [i for i in range(len(grid)) if i not in frozen]
+    step = cfg.scan_step_decades
+    probes = [
+        10.0 ** (math.log10(ws.freqs[i]) + sign * step)
+        for i in free
+        for sign in (1.0, -1.0)
+    ]
+    lams = ws.lambdas_with_moves(np.repeat(free, 2), probes).reshape(-1, 2)
+    scores = np.max((lams - ws.lambda_min) / step, axis=1)
+    return [free[k] for k in np.lexsort((free, -scores))]
 
 
 def sensitivity_scan(
@@ -230,12 +226,6 @@ def sensitivity_scan(
     eigenvalue; ties break toward the lowest index."""
     ws = workspace or _EigenWorkspace(theta_hat, grid, err, cfg)
     return int(_scan_ranking(ws, grid, cfg)[0])
-
-
-def _collides(log_f: float, freqs: np.ndarray, skip: int, min_sep: float) -> bool:
-    logs = np.log10(freqs)
-    logs = np.delete(logs, skip)
-    return bool(np.any(np.abs(logs - log_f) < min_sep))
 
 
 def adjust_frequency(
@@ -260,47 +250,60 @@ def adjust_frequency(
     floor = cfg.min_frequency_hz if cfg.min_frequency_hz is not None else grid.f_end
     log_lo = math.log10(floor)
     log_hi = math.log10(grid.f_start)
+    others = np.delete(np.log10(freqs), index)
+    t_now = total_time(grid, cfg.n_p) if cfg.time_budget_s is not None else None
+
+    def admissible(log_f: float):
+        """(log frequency clamped to the band, or None when the point would
+        collide with another or exceed the time budget; whether clamped)."""
+        log_c = min(max(log_f, log_lo), log_hi)
+        clamped = log_c != log_f
+        if np.any(np.abs(others - log_c) < cfg.min_separation_decades):
+            return None, clamped
+        if t_now is not None:
+            t_new = t_now - cfg.n_p / freqs[index] + cfg.n_p / 10.0**log_c
+            if t_new > cfg.time_budget_s:
+                return None, clamped
+        return log_c, clamped
+
+    def lambdas(logs):
+        if not logs:
+            return []
+        return ws.lambdas_with_moves([index] * len(logs), [10.0**x for x in logs]).tolist()
 
     current_log = math.log10(freqs[index])
     current_lam = ws.lambda_min
+
+    # Until the first improving move the climb probes from a fixed point
+    # against a fixed eigenvalue, so the whole opening ladder of shrinking
+    # steps is evaluated in one batch; the first level with a gain wins.
+    ladder = []
     step = cfg.climb_step_decades
-    moved = False
-    clamped = False
-
-    def try_move(log_f: float):
-        nonlocal clamped
-        log_c = min(max(log_f, log_lo), log_hi)
-        if log_c != log_f:
-            clamped = True
-        if _collides(log_c, freqs, index, cfg.min_separation_decades):
-            return None, None
-        f_c = 10.0 ** log_c
-        if cfg.time_budget_s is not None:
-            t = total_time(grid, cfg.n_p)
-            t_new = t - cfg.n_p / freqs[index] + cfg.n_p / f_c
-            if t_new > cfg.time_budget_s:
-                return None, None
-        return log_c, ws.lambda_with_move(index, f_c)
-
-    direction = 0.0
     while step >= cfg.climb_stop_decades:
+        ladder.append(step)
+        step *= cfg.climb_shrink
+    rungs = [[admissible(current_log + sign * s) for sign in (1.0, -1.0)] for s in ladder]
+    lams = iter(lambdas([log_c for rung in rungs for log_c, _ in rung if log_c is not None]))
+    clamped = False
+    for step, rung in zip(ladder, rungs):
         gains = {}
-        for sign in (1.0, -1.0):
-            log_t, lam = try_move(current_log + sign * step)
+        for sign, (log_c, was_clamped) in zip((1.0, -1.0), rung):
+            clamped = clamped or was_clamped
+            lam = next(lams) if log_c is not None else None
             if lam is not None and lam > current_lam:
-                gains[sign] = (log_t, lam)
+                gains[sign] = (log_c, lam)
         if gains:
             direction = max(gains, key=lambda s: gains[s][1])
             current_log, current_lam = gains[direction]
-            moved = True
             break
-        step *= cfg.climb_shrink
-    if not moved:
+    else:
         return float(freqs[index]), "stalled"
 
     # Walk in the chosen direction; shrink the step when it stops helping.
     while step >= cfg.climb_stop_decades:
-        log_t, lam = try_move(current_log + direction * step)
+        log_t, was_clamped = admissible(current_log + direction * step)
+        clamped = clamped or was_clamped
+        lam = lambdas([log_t])[0] if log_t is not None else None
         if lam is not None and lam > current_lam:
             current_log, current_lam = log_t, lam
         else:
@@ -390,7 +393,7 @@ def run_design(
             break
         f_old = spectrum.grid.frequencies[index]
         lam_before = ws.lambda_min
-        lam_after = ws.lambda_with_move(index, f_new)
+        lam_after = float(ws.lambdas_with_moves([index], [f_new])[0])
 
         mag, phase, smag, sphase = measure_at(
             theta_true_for_simulation, f_new, err, rng
@@ -403,10 +406,16 @@ def run_design(
             break
         theta_hat = result.theta
 
+        # A refit can collapse an arc (R -> 0, Q -> inf) and leave the
+        # information matrix singular; the trace ends there like a failed fit.
+        try:
+            logv, logv_ref = _volume_pair(
+                theta_hat, spectrum.grid, ref, err, cfg.include_variance_term
+            )
+        except SingularInformationError as exc:
+            terminated = f"singular_information: {exc}"
+            break
         ws = _EigenWorkspace(theta_hat, spectrum.grid, err, cfg)
-        logv, logv_ref = _volume_pair(
-            theta_hat, spectrum.grid, ref, err, cfg.include_variance_term
-        )
         steps.append(
             AdjustmentStep(
                 iteration=iteration,

@@ -1,7 +1,8 @@
 """Acceptance gate: nine end-to-end behavioral criteria, one test each.
 
 The slow criteria (6-8) run the real design loop and a 500-draw Monte
-Carlo; the whole module is expected to take several minutes.
+Carlo.  The whole module takes 12-15 s on a 2-core x86-64 machine, most
+of it in criterion 6's thirty design runs.
 """
 
 import functools

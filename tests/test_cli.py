@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import eisopt.cli
+import eisopt.design
 from eisopt import (
     ErrorStructure,
     STATE_A,
@@ -149,6 +151,32 @@ def test_design_zero_iterations_matches_library_delta(tmp_path):
     assert float(delta_v) == pytest.approx((nv - 1.0) * 100.0, rel=1e-9)
     assert (tmp_path / "design_trace_ppd7.jsonl").exists()
     assert (tmp_path / "design_trace_ppd7.csv").exists()
+
+
+def test_design_remeasurement_noise_is_independent_of_the_sweep(tmp_path, monkeypatch):
+    spectra, samples = [], []
+    real_synthesize, real_measure_at = eisopt.cli.synthesize, eisopt.design.measure_at
+
+    def recording_synthesize(theta, grid, err, seed, **kwargs):
+        spectra.append((theta, real_synthesize(theta, grid, err, seed, **kwargs)))
+        return spectra[-1][1]
+
+    def recording_measure_at(theta, f_hz, err, rng):
+        samples.append((theta, f_hz, real_measure_at(theta, f_hz, err, rng)))
+        return samples[-1][2]
+
+    monkeypatch.setattr(eisopt.cli, "synthesize", recording_synthesize)
+    monkeypatch.setattr(eisopt.design, "measure_at", recording_measure_at)
+    rc = main(["design", "--output-dir", str(tmp_path), "--threshold", "0.1",
+               "--ppd-list", "7", "--max-iterations", "1"])
+    assert rc == 0 and len(spectra) == 1 and len(samples) == 1
+
+    theta, spectrum = spectra[0]
+    sweep_noise = spectrum.mag_ohm[0] / model_polar(theta, spectrum.grid.as_array())[0][0] - 1.0
+    theta, f_hz, (mag, *_) = samples[0]
+    remeasure_noise = mag / model_polar(theta, np.array([f_hz]))[0][0] - 1.0
+    # a shared stream would make the first re-measurement replay point 0's draw
+    assert remeasure_noise != pytest.approx(sweep_noise, rel=1e-6)
 
 
 def test_report_default_grid_normalizes_to_one(tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from eisopt import (
     synthesize,
     total_time,
 )
-from eisopt.design import _EigenWorkspace, _scan_ranking
+import eisopt.design
+from eisopt.design import _EigenWorkspace, _frozen_set, _scan_ranking
 
 ERR = ErrorStructure()
 COARSE = FrequencyGrid(tuple(np.logspace(3.0, -1.0, 9)))  # half-decade spacing
@@ -38,8 +40,8 @@ class _StubWorkspace:
         self._fn = fn
         self.lambda_min = fn(math.log10(self.freqs[index]))
 
-    def lambda_with_move(self, index, f_hz):
-        return self._fn(math.log10(f_hz))
+    def lambdas_with_moves(self, indices, freqs_hz):
+        return np.array([self._fn(math.log10(f)) for f in freqs_hz])
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +82,28 @@ def test_scan_matches_exhaustive_recomputation():
     assert scores[expected[0]] > scores[expected[1]]
 
 
+def test_batched_what_ifs_match_full_recomputation():
+    grid = FrequencyGrid(tuple(np.logspace(4.0, -2.0, 13)))
+    cfg = DesignConfig()
+    ws = _EigenWorkspace(STATE_A, grid, ERR, cfg)
+    scale = np.abs(STATE_A.to_array())
+    outer = np.outer(scale, scale)
+    freqs = grid.as_array()
+    # mixed indices, repeats, and moves both inside and outside the band
+    indices = [5, 1, 5, 11, 0, 7]
+    targets = [3.0, 2e3, 0.02, 0.004, 3e4, freqs[7]]
+    got = ws.lambdas_with_moves(indices, targets)
+    assert got.shape == (len(indices),)
+    for i, f, lam in zip(indices, targets, got):
+        moved = freqs.copy()
+        moved[i] = f
+        m = fisher(STATE_A, moved, ERR, cfg.include_variance_term).matrix
+        expected = np.linalg.eigvalsh(m * outer)[0]
+        assert lam == pytest.approx(expected, rel=1e-9)
+    # moving a point onto itself leaves the eigenvalue where it was
+    assert got[-1] == pytest.approx(ws.lambda_min, rel=1e-12)
+
+
 def test_scan_excludes_frozen_indices():
     cfg = DesignConfig()  # endpoints frozen by default
     ws = _EigenWorkspace(STATE_A, COARSE, ERR, cfg)
@@ -116,7 +140,7 @@ def test_climb_finds_quadratic_peak_within_step_resolution():
     assert status == "adjusted"
     # one-directional climb: accuracy bounded by half the initial step
     assert abs(math.log10(f_new) - target) <= cfg.climb_step_decades / 2 + 1e-12
-    assert stub.lambda_with_move(4, f_new) > stub.lambda_min
+    assert stub.lambdas_with_moves([4], [f_new])[0] > stub.lambda_min
 
 
 def test_climb_clamps_at_frequency_floor():
@@ -160,6 +184,70 @@ def test_climb_respects_time_budget():
     f_new, status = adjust_frequency(STATE_A, grid, 4, ERR, cfg, workspace=stub)
     assert status == "stalled"
     assert f_new == pytest.approx(grid.frequencies[4], rel=1e-15)
+
+
+def _sequential_climb(grid, index, cfg, ws):
+    """Reference climb asking one what-if at a time, in the order a plain
+    sequential search asks them."""
+    freqs = grid.as_array()
+    floor = cfg.min_frequency_hz if cfg.min_frequency_hz is not None else grid.f_end
+    log_lo, log_hi = math.log10(floor), math.log10(grid.f_start)
+    others = np.delete(np.log10(freqs), index)
+    clamped = False
+
+    def try_move(log_f):
+        nonlocal clamped
+        log_c = min(max(log_f, log_lo), log_hi)
+        clamped = clamped or log_c != log_f
+        if np.any(np.abs(others - log_c) < cfg.min_separation_decades):
+            return None, None
+        if cfg.time_budget_s is not None:
+            t_new = total_time(grid, cfg.n_p) - cfg.n_p / freqs[index] + cfg.n_p / 10.0**log_c
+            if t_new > cfg.time_budget_s:
+                return None, None
+        return log_c, float(ws.lambdas_with_moves([index], [10.0**log_c])[0])
+
+    current_log, current_lam = math.log10(freqs[index]), ws.lambda_min
+    step, direction = cfg.climb_step_decades, None
+    while direction is None and step >= cfg.climb_stop_decades:
+        gains = {}
+        for sign in (1.0, -1.0):
+            log_t, lam = try_move(current_log + sign * step)
+            if lam is not None and lam > current_lam:
+                gains[sign] = (log_t, lam)
+        if gains:
+            direction = max(gains, key=lambda s: gains[s][1])
+            current_log, current_lam = gains[direction]
+        else:
+            step *= cfg.climb_shrink
+    if direction is None:
+        return float(freqs[index]), "stalled"
+    while step >= cfg.climb_stop_decades:
+        log_t, lam = try_move(current_log + direction * step)
+        if lam is not None and lam > current_lam:
+            current_log, current_lam = log_t, lam
+        else:
+            step *= cfg.climb_shrink
+    return float(10.0**current_log), "floor-limited" if clamped else "adjusted"
+
+
+def test_batched_climb_matches_sequential_climb():
+    grid = reduce_ppd(log_spaced_inclusive(1e4, 0.01, 10), 1.0, 7)
+    configs = [
+        DesignConfig(),
+        DesignConfig(min_separation_decades=0.3),  # every probe collides
+        DesignConfig(time_budget_s=total_time(grid, 5) * 1.01),
+        DesignConfig(min_frequency_hz=grid.f_end * 1.5),
+        DesignConfig(freeze_endpoints=False),  # edge points probe past the band
+    ]
+    statuses = set()
+    for cfg in configs:
+        ws = _EigenWorkspace(STATE_A, grid, ERR, cfg)
+        for index in sorted(set(range(len(grid))) - _frozen_set(grid, cfg)):
+            got = adjust_frequency(STATE_A, grid, index, ERR, cfg, workspace=ws)
+            assert got == _sequential_climb(grid, index, cfg, ws)
+            statuses.add(got[1])
+    assert statuses == {"adjusted", "floor-limited", "stalled"}
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +341,28 @@ def test_loop_respects_time_budget():
     trace = run_design(SPECTRUM, STATE_A, cfg, seed=42)
     for step in trace.steps:
         assert step.t_tot_s <= budget + 1e-9
+
+
+def test_singular_refit_ends_the_trace(monkeypatch):
+    real_fit = eisopt.design.fit_wcnls
+    calls = []
+
+    def collapsing_fit(spectrum, theta0, opts=None):
+        result = real_fit(spectrum, theta0, opts)
+        calls.append(result)
+        if len(calls) == 1:
+            return result
+        # the second arc shorts out: R_2 -> 0 while Q_2 -> inf
+        return replace(
+            result, theta=replace(result.theta, r_2=1.45e-15, q_2=1.74e16, phi_2=1.0)
+        )
+
+    monkeypatch.setattr(eisopt.design, "fit_wcnls", collapsing_fit)
+    trace = run_design(SPECTRUM, STATE_A, CFG, seed=42)
+    assert len(calls) == 2
+    assert trace.terminated.startswith("singular_information: ")
+    assert len(trace.steps) == 1
+    assert trace.final.status == "initial"
 
 
 def test_trace_serialization_round_trip(tmp_path):
