@@ -19,6 +19,7 @@ dense baseline sweep) evaluated at the same parameter estimate.
 from __future__ import annotations
 
 import csv
+import heapq
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -148,6 +149,18 @@ class AdjustmentTrace:
                 )
 
 
+# Rounding allowance on every Rayleigh bound, relative to the largest scaled
+# eigenvalue: eigvalsh is backward stable (error a few eps * lambda_max) and
+# the 121-term quadratic form rounds by at most ~121 * eps * lambda_max
+# ~ 3e-14 * lambda_max, so 1e-10 exceeds both by over three orders.
+_BOUND_SLACK = 1e-10
+
+# Candidates the lazy scan solves per eigendecomposition call: one chunk of
+# four certifies the first two candidates of nearly every scan, while the
+# loop seldom climbs more than a handful of candidates per iteration.
+_SCAN_CHUNK = 4
+
+
 class _EigenWorkspace:
     """Cached per-point information pieces for batched what-if evaluation.
 
@@ -155,6 +168,18 @@ class _EigenWorkspace:
     -P_i + P(f).  :meth:`lambdas_with_moves` answers a whole batch of such
     questions with one model evaluation over all probe frequencies and one
     stacked 11x11 eigendecomposition.
+
+    The workspace also keeps u = D v_0, where D is the eigenvalue scaling
+    and v_0 the unit eigenvector of the smallest eigenvalue of the scaled
+    total.  By Courant-Fischer, u^T M u >= lambda_min(D M D) for every moved
+    matrix M, so ``u^T M u + slack`` certifies an upper bound on a move's
+    eigenvalue for the price of one quadratic form.  Bounds only decide
+    which moves need solving; every eigenvalue that a decision compares or
+    the trace records is solved by the same ``eigvalsh`` as without them.
+
+    ``fim`` is the grid's information matrix, built exactly as
+    :func:`fisher` builds it, so the loop's volume needs no second model
+    evaluation.
     """
 
     def __init__(self, theta: ParameterVector, grid: FrequencyGrid,
@@ -167,19 +192,50 @@ class _EigenWorkspace:
             theta, grid, err, cfg.include_variance_term
         )
         self.total = np.sum(self.parts, axis=0)
+        self.fim = FisherMatrix(
+            0.5 * (self.total + self.total.T), theta, grid, err,
+            cfg.include_variance_term,
+        )
         scale = eigen_scale(theta, cfg.eigen_scaling)
         self._outer = np.outer(scale, scale)
-        self.lambda_min = float(np.linalg.eigvalsh(self.total * self._outer)[0])
+        scaled = self.total * self._outer
+        eigvals = np.linalg.eigvalsh(scaled)
+        self.lambda_min = float(eigvals[0])
+        self._u = scale * np.linalg.eigh(scaled)[1][:, 0]
+        self._slack = _BOUND_SLACK * eigvals[-1]
 
-    def lambdas_with_moves(self, indices, freqs_hz) -> np.ndarray:
-        """Smallest scaled eigenvalue after moving point ``indices[k]`` to
-        ``freqs_hz[k]``, for every k; each move is applied on its own."""
+    def _moved(self, indices, freqs_hz) -> np.ndarray:
+        """Stack of unscaled information matrices, one per move."""
         contrib = fisher_contributions(
             self.theta, np.asarray(freqs_hz, dtype=float), self.err,
             self.cfg.include_variance_term,
         )
-        moved = self.total - self.parts[np.asarray(indices)] + contrib
+        return self.total - self.parts[np.asarray(indices)] + contrib
+
+    def _solve(self, moved: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(moved * self._outer)[:, 0]
+
+    def _bounds(self, moved: np.ndarray) -> np.ndarray:
+        return moved @ self._u @ self._u + self._slack
+
+    def lambdas_with_moves(self, indices, freqs_hz, floor=None) -> np.ndarray:
+        """Smallest scaled eigenvalue after moving point ``indices[k]`` to
+        ``freqs_hz[k]``, for every k; each move is applied on its own.
+
+        With a ``floor``, only the moves whose Rayleigh bound exceeds it are
+        solved; every other entry is its bound, which lies between the
+        move's eigenvalue and ``floor``.  So every entry above ``floor`` is
+        exact, and a comparison ``entry > floor`` decides as the exact
+        eigenvalue would.  A NaN bound proves nothing and is solved.
+        """
+        moved = self._moved(indices, freqs_hz)
+        if floor is None:
+            return self._solve(moved)
+        lams = self._bounds(moved)
+        solve = ~(lams <= floor)
+        if solve.any():
+            lams[solve] = self._solve(moved[solve])
+        return lams
 
 
 def _frozen_set(grid: FrequencyGrid, cfg: DesignConfig) -> set:
@@ -190,7 +246,7 @@ def _frozen_set(grid: FrequencyGrid, cfg: DesignConfig) -> set:
 
 
 def _scan_ranking(ws: _EigenWorkspace, grid: FrequencyGrid, cfg: DesignConfig):
-    """Free candidate indices ordered by decreasing improvement potential.
+    """Free candidate indices, lazily, by decreasing improvement potential.
 
     Each free candidate is probed a small step up and down in log
     frequency; its score is the better signed eigenvalue change per
@@ -199,6 +255,14 @@ def _scan_ranking(ws: _EigenWorkspace, grid: FrequencyGrid, cfg: DesignConfig):
     already sitting on sharp local maxima, whose eigenvalue responds
     strongly to perturbation but cannot be improved.  Equal scores order
     by index, so the ranking does not depend on evaluation order.
+
+    The ranking is certified rather than solved up front: one model
+    evaluation gives every probe's Rayleigh bound and hence an upper bound
+    on every score.  Exact scores are solved a few candidates at a time,
+    best bound first, and a candidate is yielded once no unsolved bound
+    reaches its score.  A caller that stops after the first candidates
+    pays only for the eigendecompositions those needed; the full expansion
+    equals the exhaustive ranking.
     """
     frozen = _frozen_set(grid, cfg)
     if len(frozen) >= len(grid):
@@ -210,9 +274,26 @@ def _scan_ranking(ws: _EigenWorkspace, grid: FrequencyGrid, cfg: DesignConfig):
         for i in free
         for sign in (1.0, -1.0)
     ]
-    lams = ws.lambdas_with_moves(np.repeat(free, 2), probes).reshape(-1, 2)
-    scores = np.max((lams - ws.lambda_min) / step, axis=1)
-    return [free[k] for k in np.lexsort((free, -scores))]
+    moved = ws._moved(np.repeat(free, 2), probes)
+    bounds = np.max((ws._bounds(moved).reshape(-1, 2) - ws.lambda_min) / step, axis=1)
+    bounds[np.isnan(bounds)] = np.inf  # proves nothing: solve it first
+    unsolved = np.lexsort((free, -bounds)).tolist()
+    pos = 0
+    # Solved candidates keyed as the exhaustive ranking orders them: by
+    # decreasing score, then index, with NaN scores last.
+    solved = []
+    while pos < len(unsolved) or solved:
+        if solved and (pos == len(unsolved) or (
+                not solved[0][0] and -solved[0][1] > bounds[unsolved[pos]])):
+            yield heapq.heappop(solved)[2]
+            continue
+        chunk = unsolved[pos:pos + _SCAN_CHUNK]
+        pos += len(chunk)
+        rows = (2 * np.array(chunk)[:, None] + (0, 1)).ravel()
+        lams = ws._solve(moved[rows]).reshape(-1, 2)
+        for k, score in zip(chunk, np.max((lams - ws.lambda_min) / step, axis=1)):
+            nan = bool(np.isnan(score))
+            heapq.heappush(solved, (nan, 0.0 if nan else -score, free[k]))
 
 
 def sensitivity_scan(
@@ -225,7 +306,7 @@ def sensitivity_scan(
     """Index of the frequency whose perturbation most improves the smallest
     eigenvalue; ties break toward the lowest index."""
     ws = workspace or _EigenWorkspace(theta_hat, grid, err, cfg)
-    return int(_scan_ranking(ws, grid, cfg)[0])
+    return int(next(_scan_ranking(ws, grid, cfg)))
 
 
 def adjust_frequency(
@@ -242,72 +323,71 @@ def adjust_frequency(
     "floor-limited" (the improving direction ran into the frequency floor
     or band edge) or "stalled" (no improving move even at the smallest
     step; the frequency is returned unchanged).
+
+    From a fixed point the climb tries shrinking steps until one gains, so
+    each such run of probes is one batched ladder against a fixed
+    eigenvalue, taking the first level with a gain: the opening ladder
+    tries both directions and keeps the better one, and the walk then
+    repeats one-directional ladders from each accepted point.  These are
+    the probes a one-at-a-time search asks, with one what-if call per
+    accepted move.  Probes whose Rayleigh bound cannot beat the current
+    eigenvalue are not solved (see :meth:`_EigenWorkspace.lambdas_with_moves`),
+    so every accepted eigenvalue is exact.
     """
     ws = workspace or _EigenWorkspace(theta_hat, grid, err, cfg)
     if index in _frozen_set(grid, cfg):
         raise DesignError(f"frequency index {index} is frozen")
     freqs = ws.freqs
-    floor = cfg.min_frequency_hz if cfg.min_frequency_hz is not None else grid.f_end
-    log_lo = math.log10(floor)
+    f_min = cfg.min_frequency_hz if cfg.min_frequency_hz is not None else grid.f_end
+    log_lo = math.log10(f_min)
     log_hi = math.log10(grid.f_start)
-    others = np.delete(np.log10(freqs), index)
-    t_now = total_time(grid, cfg.n_p) if cfg.time_budget_s is not None else None
-
-    def admissible(log_f: float):
-        """(log frequency clamped to the band, or None when the point would
-        collide with another or exceed the time budget; whether clamped)."""
-        log_c = min(max(log_f, log_lo), log_hi)
-        clamped = log_c != log_f
-        if np.any(np.abs(others - log_c) < cfg.min_separation_decades):
-            return None, clamped
-        if t_now is not None:
-            t_new = t_now - cfg.n_p / freqs[index] + cfg.n_p / 10.0**log_c
-            if t_new > cfg.time_budget_s:
-                return None, clamped
-        return log_c, clamped
-
-    def lambdas(logs):
-        if not logs:
-            return []
-        return ws.lambdas_with_moves([index] * len(logs), [10.0**x for x in logs]).tolist()
-
-    current_log = math.log10(freqs[index])
-    current_lam = ws.lambda_min
-
-    # Until the first improving move the climb probes from a fixed point
-    # against a fixed eigenvalue, so the whole opening ladder of shrinking
-    # steps is evaluated in one batch; the first level with a gain wins.
-    ladder = []
-    step = cfg.climb_step_decades
-    while step >= cfg.climb_stop_decades:
-        ladder.append(step)
-        step *= cfg.climb_shrink
-    rungs = [[admissible(current_log + sign * s) for sign in (1.0, -1.0)] for s in ladder]
-    lams = iter(lambdas([log_c for rung in rungs for log_c, _ in rung if log_c is not None]))
+    others = np.delete(np.log10(freqs), index)[:, None]
+    t_base = (total_time(grid, cfg.n_p) - cfg.n_p / freqs[index]
+              if cfg.time_budget_s is not None else None)
     clamped = False
-    for step, rung in zip(ladder, rungs):
-        gains = {}
-        for sign, (log_c, was_clamped) in zip((1.0, -1.0), rung):
-            clamped = clamped or was_clamped
-            lam = next(lams) if log_c is not None else None
-            if lam is not None and lam > current_lam:
-                gains[sign] = (log_c, lam)
-        if gains:
-            direction = max(gains, key=lambda s: gains[s][1])
-            current_log, current_lam = gains[direction]
-            break
-    else:
-        return float(freqs[index]), "stalled"
 
-    # Walk in the chosen direction; shrink the step when it stops helping.
-    while step >= cfg.climb_stop_decades:
-        log_t, was_clamped = admissible(current_log + direction * step)
-        clamped = clamped or was_clamped
-        lam = lambdas([log_t])[0] if log_t is not None else None
-        if lam is not None and lam > current_lam:
-            current_log, current_lam = log_t, lam
-        else:
+    def ladder(origin, lam, step, signs):
+        """(log f, eigenvalue, step, sign) of the best move at the first
+        shrink level from ``step`` down that beats ``lam``, or None.
+
+        A probe is clamped to the band, and is out when it would collide
+        with another point or exceed the time budget."""
+        nonlocal clamped
+        steps = []
+        while step >= cfg.climb_stop_decades:
+            steps.append(step)
             step *= cfg.climb_shrink
+        if not steps:
+            return None
+        targets = np.array([origin + sign * s for s in steps for sign in signs])
+        logs = np.minimum(np.maximum(targets, log_lo), log_hi)
+        probes = [10.0**x for x in logs.tolist()]
+        ok = ~np.any(np.abs(others - logs) < cfg.min_separation_decades, axis=0)
+        if t_base is not None:
+            ok &= ~(t_base + cfg.n_p / np.array(probes) > cfg.time_budget_s)
+        lams = np.full(len(logs), -np.inf)
+        if ok.any():
+            lams[ok] = ws.lambdas_with_moves(
+                [index] * int(ok.sum()), [f for f, k in zip(probes, ok) if k],
+                floor=lam,
+            )
+        gains = np.where(lams > lam, lams, -np.inf).reshape(len(steps), len(signs))
+        hits = np.flatnonzero(np.max(gains, axis=1) > -np.inf)
+        level = int(hits[0]) if hits.size else len(steps) - 1
+        asked = (level + 1) * len(signs)
+        clamped = clamped or bool(np.any(logs[:asked] != targets[:asked]))
+        if not hits.size:
+            return None
+        best = level * len(signs) + int(np.argmax(gains[level]))
+        return float(logs[best]), float(lams[best]), steps[level], signs[best % len(signs)]
+
+    found = ladder(math.log10(freqs[index]), ws.lambda_min,
+                   cfg.climb_step_decades, (1.0, -1.0))
+    if found is None:
+        return float(freqs[index]), "stalled"
+    while found is not None:
+        current_log, current_lam, step, direction = found
+        found = ladder(current_log, current_lam, step, (direction,))
     status = "floor-limited" if clamped else "adjusted"
     return float(10.0**current_log), status
 
@@ -321,9 +401,11 @@ def _reference_grid(grid: FrequencyGrid) -> FrequencyGrid:
     return log_spaced_inclusive(grid.f_start, grid.f_end, grid.ppd_default)
 
 
-def _volume_pair(theta, grid, ref_grid, err, include_variance_term):
-    logv = ellipsoid_log_volume(fisher(theta, grid, err, include_variance_term))
-    logv_ref = ellipsoid_log_volume(fisher(theta, ref_grid, err, include_variance_term))
+def _volume_pair(ws: _EigenWorkspace, ref_grid: FrequencyGrid):
+    logv = ellipsoid_log_volume(ws.fim)
+    logv_ref = ellipsoid_log_volume(
+        fisher(ws.theta, ref_grid, ws.err, ws.cfg.include_variance_term)
+    )
     return logv, logv_ref
 
 
@@ -343,6 +425,12 @@ def run_design(
     the loop's own knowledge of the cell comes only from fits.  ``seed``
     seeds the re-measurement noise.  The trace records iteration 0 (the
     evaluation of the unmodified grid) and one row per adjustment.
+
+    A refit that fails or leaves the information matrix singular ends the
+    trace early (see ``terminated``).  When the initial fit already leaves
+    it singular there is no row to end the trace at, so
+    :class:`SingularInformationError` is raised with its message prefixed
+    ``"initial fit: "``.
     """
     err = err or ErrorStructure()
     rng = np.random.default_rng(seed)
@@ -355,9 +443,16 @@ def run_design(
     theta_hat = result.theta
 
     ws = _EigenWorkspace(theta_hat, spectrum.grid, err, cfg)
-    logv, logv_ref = _volume_pair(
-        theta_hat, spectrum.grid, ref, err, cfg.include_variance_term
-    )
+    try:
+        logv, logv_ref = _volume_pair(ws, ref)
+    except SingularInformationError as exc:
+        # No trace row exists yet, so there is no trace to end: say which
+        # fit collapsed and keep the diagnostics.
+        raise SingularInformationError(
+            f"initial fit: {exc}",
+            lambda_min=exc.lambda_min,
+            condition_number=exc.condition_number,
+        ) from exc
     steps = [
         AdjustmentStep(
             iteration=0,
@@ -406,16 +501,14 @@ def run_design(
             break
         theta_hat = result.theta
 
+        ws = _EigenWorkspace(theta_hat, spectrum.grid, err, cfg)
         # A refit can collapse an arc (R -> 0, Q -> inf) and leave the
         # information matrix singular; the trace ends there like a failed fit.
         try:
-            logv, logv_ref = _volume_pair(
-                theta_hat, spectrum.grid, ref, err, cfg.include_variance_term
-            )
+            logv, logv_ref = _volume_pair(ws, ref)
         except SingularInformationError as exc:
             terminated = f"singular_information: {exc}"
             break
-        ws = _EigenWorkspace(theta_hat, spectrum.grid, err, cfg)
         steps.append(
             AdjustmentStep(
                 iteration=iteration,
