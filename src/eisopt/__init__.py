@@ -20,9 +20,7 @@ from .design import (
     AdjustmentStep,
     AdjustmentTrace,
     DesignConfig,
-    adjust_frequency,
     run_design,
-    sensitivity_scan,
 )
 from .estimation import (
     FitOptions,
@@ -30,7 +28,6 @@ from .estimation import (
     fit_wcnls,
     initialize,
     objective_value,
-    save_fit_json,
 )
 from .exceptions import (
     DesignError,
@@ -45,11 +42,9 @@ from .fixtures import FIXTURES, STATE_A, STATE_B, get_fixture
 from .frequency import (
     FrequencyGrid,
     PpdReduction,
-    TimeModel,
     log_spaced,
     log_spaced_inclusive,
     reduce_ppd,
-    time_model,
     total_time,
 )
 from .information import (
@@ -60,9 +55,6 @@ from .information import (
     ellipsoid_log_volume,
     fisher,
     fisher_contributions,
-    lambda_min,
-    normalized_volume,
-    save_report_json,
     uncertainty_report,
 )
 from .measurement import (
@@ -88,15 +80,12 @@ __all__ = [
     "AdjustmentStep",
     "AdjustmentTrace",
     "DesignConfig",
-    "adjust_frequency",
     "run_design",
-    "sensitivity_scan",
     "FitOptions",
     "FitResult",
     "fit_wcnls",
     "initialize",
     "objective_value",
-    "save_fit_json",
     "DesignError",
     "DomainError",
     "EisoptError",
@@ -110,11 +99,9 @@ __all__ = [
     "get_fixture",
     "FrequencyGrid",
     "PpdReduction",
-    "TimeModel",
     "log_spaced",
     "log_spaced_inclusive",
     "reduce_ppd",
-    "time_model",
     "total_time",
     "FisherMatrix",
     "UncertaintyReport",
@@ -123,9 +110,6 @@ __all__ = [
     "ellipsoid_log_volume",
     "fisher",
     "fisher_contributions",
-    "lambda_min",
-    "normalized_volume",
-    "save_report_json",
     "uncertainty_report",
     "ErrorStructure",
     "Spectrum",

@@ -16,13 +16,15 @@ identifies how it was produced; a fixed config and seed reproduce every
 data row byte for byte.
 
 Exit codes: 0 success, 1 numerical failure (fit divergence, singular
-information matrix), 2 invalid input (bad config, malformed files).
+information matrix, or a fit that did not converge, whose result file is
+still written), 2 invalid input (bad config, malformed files).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -45,7 +47,7 @@ from .exceptions import (
 )
 from .fixtures import get_fixture
 from .frequency import FrequencyGrid, log_spaced, log_spaced_inclusive, reduce_ppd, total_time
-from .information import crlb, fisher, save_report_json, uncertainty_report
+from .information import crlb, fisher, uncertainty_report
 from .measurement import ErrorStructure, load_spectrum, save_spectrum, synthesize
 
 ENV_OUTPUT_DIR = "EISOPT_OUTPUT_DIR"
@@ -70,21 +72,7 @@ _DEFAULT_CONFIG = {
     "output_dir": None,
 }
 
-_DESIGN_KEYS = {
-    "max_iterations",
-    "scan_step_decades",
-    "climb_step_decades",
-    "climb_shrink",
-    "climb_stop_decades",
-    "min_separation_decades",
-    "min_frequency_hz",
-    "time_budget_s",
-    "n_p",
-    "freeze_endpoints",
-    "frozen_indices",
-    "eigen_scaling",
-    "include_variance_term",
-}
+_DESIGN_KEYS = {f.name for f in dataclasses.fields(DesignConfig)}
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -219,18 +207,19 @@ def _write_provenance_lines(fh, prov: dict) -> None:
         fh.write(f"# {key}={prov[key]}\n")
 
 
-def _parse_float_list(text: str, flag: str) -> list:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise DomainError(f"{flag} expects a comma-separated number list: {exc}") from exc
+def _write_json(path, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, default=float)
+        fh.write("\n")
 
 
-def _parse_int_list(text: str, flag: str) -> list:
+def _parse_list(text: str, flag: str, kind) -> list:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise DomainError(f"{flag} expects a comma-separated integer list: {exc}") from exc
+        raise DomainError(
+            f"{flag} expects a comma-separated list of {kind.__name__} values: {exc}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +239,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     csv_path = out / args.out
     save_spectrum(spectrum, csv_path)
     prov_path = csv_path.with_suffix(csv_path.suffix + ".provenance.json")
-    with open(prov_path, "w", encoding="utf-8") as fh:
-        json.dump({"provenance": prov, "config": cfg}, fh, indent=2, default=float)
-        fh.write("\n")
+    _write_json(prov_path, {"provenance": prov, "config": cfg})
     print(f"wrote {csv_path} ({spectrum.n} rows) and {prov_path}")
     return 0
 
@@ -268,13 +255,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
     payload = {"provenance": prov, "input": str(args.spectrum)}
     payload.update(result.to_json_dict())
     fit_path = out / args.out
-    with open(fit_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(fit_path, payload)
     print(
         f"wrote {fit_path}: objective={result.objective:.6g} "
         f"iterations={result.iterations} converged={result.converged}"
     )
+    if not result.converged:
+        print(f"warning: fit did not converge: {result.message}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -286,8 +274,8 @@ def cmd_crlb_sweep(args: argparse.Namespace) -> int:
     prov = _provenance(cfg)
     out = _output_dir(cfg)
 
-    thresholds = _parse_float_list(args.thresholds, "--thresholds")
-    ppds = _parse_int_list(args.ppd_list, "--ppd-list")
+    thresholds = _parse_list(args.thresholds, "--thresholds", float)
+    ppds = _parse_list(args.ppd_list, "--ppd-list", int)
     base_crlb = crlb(fisher(theta, baseline, err))
 
     sweep_path = out / args.out
@@ -316,7 +304,7 @@ def cmd_design(args: argparse.Namespace) -> int:
     out = _output_dir(cfg)
 
     threshold = float(args.threshold)
-    ppds = _parse_int_list(args.ppd_list, "--ppd-list")
+    ppds = _parse_list(args.ppd_list, "--ppd-list", int)
     n_p = int(cfg["n_p"])
     t_base = total_time(baseline, n_p)
 
@@ -382,9 +370,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     payload = {"provenance": prov}
     payload.update(report.to_json_dict())
     payload["normalized_crlb"] = dict(zip(PARAMETER_NAMES, normalized.tolist()))
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(json_path, payload)
 
     csv_path = json_path.with_suffix(".csv")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:

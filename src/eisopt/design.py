@@ -22,7 +22,7 @@ import csv
 import heapq
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .estimation import FitOptions, fit_wcnls, initialize
 from .frequency import FrequencyGrid, log_spaced_inclusive, total_time
 from .information import (
     FisherMatrix,
-    eigen_scale,
+    _unit_scale,
     ellipsoid_log_volume,
     fisher,
     fisher_contributions,
@@ -58,7 +58,6 @@ class DesignConfig:
     n_p: int = 5
     freeze_endpoints: bool = True
     frozen_indices: tuple = field(default_factory=tuple)
-    eigen_scaling: str = "log"
     include_variance_term: bool = True
 
     def __post_init__(self):
@@ -169,11 +168,11 @@ class _EigenWorkspace:
     questions with one model evaluation over all probe frequencies and one
     stacked 11x11 eigendecomposition.
 
-    The workspace also keeps u = D v_0, where D is the eigenvalue scaling
-    and v_0 the unit eigenvector of the smallest eigenvalue of the scaled
-    total.  By Courant-Fischer, u^T M u >= lambda_min(D M D) for every moved
-    matrix M, so ``u^T M u + slack`` certifies an upper bound on a move's
-    eigenvalue for the price of one quadratic form.  Bounds only decide
+    The workspace also keeps u = D v_0, where D = diag(|theta|) is the unit
+    scaling and v_0 the unit eigenvector of the smallest eigenvalue of the
+    scaled total.  By Courant-Fischer, u^T M u >= lambda_min(D M D) for
+    every moved matrix M, so ``u^T M u + slack`` certifies an upper bound on
+    a move's eigenvalue for the price of one quadratic form.  Bounds only decide
     which moves need solving; every eigenvalue that a decision compares or
     the trace records is solved by the same ``eigvalsh`` as without them.
 
@@ -196,7 +195,7 @@ class _EigenWorkspace:
             0.5 * (self.total + self.total.T), theta, grid, err,
             cfg.include_variance_term,
         )
-        scale = eigen_scale(theta, cfg.eigen_scaling)
+        scale = _unit_scale(theta)
         self._outer = np.outer(scale, scale)
         scaled = self.total * self._outer
         eigvals = np.linalg.eigvalsh(scaled)
@@ -296,28 +295,10 @@ def _scan_ranking(ws: _EigenWorkspace, grid: FrequencyGrid, cfg: DesignConfig):
             heapq.heappush(solved, (nan, 0.0 if nan else -score, free[k]))
 
 
-def sensitivity_scan(
-    theta_hat: ParameterVector,
-    grid: FrequencyGrid,
-    err: ErrorStructure,
-    cfg: DesignConfig,
-    workspace: _EigenWorkspace | None = None,
-) -> int:
-    """Index of the frequency whose perturbation most improves the smallest
-    eigenvalue; ties break toward the lowest index."""
-    ws = workspace or _EigenWorkspace(theta_hat, grid, err, cfg)
-    return int(next(_scan_ranking(ws, grid, cfg)))
-
-
-def adjust_frequency(
-    theta_hat: ParameterVector,
-    grid: FrequencyGrid,
-    index: int,
-    err: ErrorStructure,
-    cfg: DesignConfig,
-    workspace: _EigenWorkspace | None = None,
-):
-    """Hill-climb one frequency in log space to raise the smallest eigenvalue.
+def adjust_frequency(ws: _EigenWorkspace, grid: FrequencyGrid, index: int,
+                     cfg: DesignConfig):
+    """Hill-climb one frequency in log space to raise the smallest eigenvalue
+    of the workspace's matrix.
 
     Returns (new_frequency_hz, status) with status one of "adjusted",
     "floor-limited" (the improving direction ran into the frequency floor
@@ -334,7 +315,6 @@ def adjust_frequency(
     eigenvalue are not solved (see :meth:`_EigenWorkspace.lambdas_with_moves`),
     so every accepted eigenvalue is exact.
     """
-    ws = workspace or _EigenWorkspace(theta_hat, grid, err, cfg)
     if index in _frozen_set(grid, cfg):
         raise DesignError(f"frequency index {index} is frozen")
     freqs = ws.freqs
@@ -477,9 +457,7 @@ def run_design(
         # the eigenvalue, fall through the ranking to the next candidate.
         f_new, status, index = None, "stalled", None
         for candidate in _scan_ranking(ws, spectrum.grid, cfg):
-            f_new, status = adjust_frequency(
-                theta_hat, spectrum.grid, candidate, err, cfg, ws
-            )
+            f_new, status = adjust_frequency(ws, spectrum.grid, candidate, cfg)
             if status != "stalled":
                 index = candidate
                 break

@@ -22,17 +22,14 @@ a handful of candidates.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import (
     EXPONENT_INDICES,
     LOG_SCALE_INDICES,
-    N_PARAMETERS,
-    PARAMETER_NAMES,
     ParameterVector,
     _impedance_and_gradient,
     _polar_sensitivities,
@@ -109,12 +106,6 @@ class FitResult:
             "message": self.message,
             "n_residuals": int(self.weighted_residuals.size),
         }
-
-
-def save_fit_json(result: FitResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_json_dict(), fh, indent=2)
-        fh.write("\n")
 
 
 def _to_internal(theta_arr: np.ndarray) -> np.ndarray:

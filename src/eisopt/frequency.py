@@ -11,7 +11,6 @@ buy time back, which is the starting point of the adjustment loop in
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -78,17 +77,6 @@ class FrequencyGrid:
     def as_array(self) -> np.ndarray:
         return np.array(self.frequencies)
 
-    def replace_frequency(self, index: int, new_hz: float) -> "FrequencyGrid":
-        """Return a grid with one point moved and the ordering restored."""
-        if not 0 <= index < len(self.frequencies):
-            raise DomainError(f"grid index {index} out of range")
-        if new_hz <= 0.0:
-            raise DomainError("replacement frequency must be positive")
-        freqs = list(self.frequencies)
-        freqs[index] = float(new_hz)
-        freqs.sort(reverse=True)
-        return FrequencyGrid(tuple(freqs), self.ppd_default, self.reductions)
-
     def to_json_dict(self) -> dict:
         return {
             "frequencies_hz": list(self.frequencies),
@@ -102,26 +90,15 @@ class FrequencyGrid:
     def from_json_dict(cls, data: dict) -> "FrequencyGrid":
         try:
             freqs = tuple(float(f) for f in data["frequencies_hz"])
+            reductions = tuple(
+                PpdReduction(float(r["threshold_hz"]), int(r["ppd"]))
+                for r in data.get("reductions", [])
+            )
+            ppd = data.get("ppd_default")
+            ppd = None if ppd is None else int(ppd)
         except (KeyError, TypeError, ValueError) as exc:
             raise SpectrumFormatError(f"bad grid JSON: {exc}") from exc
-        reductions = tuple(
-            PpdReduction(float(r["threshold_hz"]), int(r["ppd"]))
-            for r in data.get("reductions", [])
-        )
-        ppd = data.get("ppd_default")
-        return cls(freqs, None if ppd is None else int(ppd), reductions)
-
-
-@dataclass(frozen=True)
-class TimeModel:
-    """Experiment duration accounting: n_p excitation periods per point."""
-
-    n_p: int
-    t_tot: float
-
-    def __post_init__(self):
-        if self.n_p < 1:
-            raise DomainError("n_p must be a positive integer")
+        return cls(freqs, ppd, reductions)
 
 
 def log_spaced(f_start: float, f_end: float, ppd: int) -> FrequencyGrid:
@@ -231,46 +208,3 @@ def total_time(grid: FrequencyGrid, n_p: int = 5) -> float:
         raise DomainError("n_p must be a positive integer")
     return float(n_p * np.sum(1.0 / grid.as_array()))
 
-
-def time_model(grid: FrequencyGrid, n_p: int = 5) -> TimeModel:
-    return TimeModel(n_p=int(n_p), t_tot=total_time(grid, n_p))
-
-
-def save_grid_text(grid: FrequencyGrid, path) -> None:
-    """One frequency (Hz) per line, full double precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for f in grid.frequencies:
-            fh.write(f"{f!r}\n")
-
-
-def load_grid_text(path) -> FrequencyGrid:
-    freqs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                freqs.append(float(text))
-            except ValueError as exc:
-                raise SpectrumFormatError(
-                    f"not a frequency: {text!r}", line_number=lineno
-                ) from exc
-    if len(freqs) < 2:
-        raise SpectrumFormatError("grid file has fewer than 2 frequencies")
-    return FrequencyGrid(tuple(freqs))
-
-
-def save_grid_json(grid: FrequencyGrid, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(grid.to_json_dict(), fh, indent=2)
-        fh.write("\n")
-
-
-def load_grid_json(path) -> FrequencyGrid:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpectrumFormatError(f"invalid grid JSON: {exc}") from exc
-    return FrequencyGrid.from_json_dict(data)

@@ -14,15 +14,13 @@ Raw-unit entries of F span roughly twenty orders of magnitude because the
 parameters range from milliohms to 1e7.  Every factorization here therefore
 runs on a similarity-scaled matrix D F D with D = diag(|theta|), which has
 condition numbers a plain Cholesky handles; results are mapped back to
-linear parameter units exactly.  Eigenvalue tracking for the adjustment
-loop is offered both in those scaled (log-parameter) coordinates and on the
-raw matrix, selectable per call.
+linear parameter units exactly.  Eigenvalues, which the adjustment loop
+tracks, are reported in the same scaled (log-parameter) coordinates.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -165,31 +163,11 @@ def crlb(fim: FisherMatrix) -> np.ndarray:
     return scale**2 * np.diag(inv_scaled)
 
 
-def eigen_scale(theta: ParameterVector, scaling: str) -> np.ndarray:
-    """Per-parameter similarity scale used for eigenvalue tracking.
-
-    "log" rescales every parameter by its magnitude (the information
-    matrix expressed in log-parameter coordinates, where eigenvalues
-    measure curvature against *relative* parameter changes); "linear"
-    keeps raw parameter units.  A tiny floor guards against an exponent
-    sitting exactly at zero, which would collapse the scaled matrix.
-    """
-    if scaling == "log":
-        return np.maximum(np.abs(theta.to_array()), 1e-12)
-    if scaling == "linear":
-        return np.ones(N_PARAMETERS)
-    raise DomainError(f"unknown eigenvalue scaling {scaling!r}")
-
-
-def eigenvalues(fim: FisherMatrix, scaling: str = "log") -> np.ndarray:
-    """Ascending eigenvalues of the information matrix under the chosen
-    coordinate scaling (see :func:`eigen_scale`)."""
-    scale = eigen_scale(fim.theta, scaling)
-    return np.linalg.eigvalsh(_scaled_matrix(fim, scale))
-
-
-def lambda_min(fim: FisherMatrix, scaling: str = "log") -> float:
-    return float(eigenvalues(fim, scaling)[0])
+def eigenvalues(fim: FisherMatrix) -> np.ndarray:
+    """Ascending eigenvalues of the unit-scaled information matrix: in
+    log-parameter coordinates they measure curvature against *relative*
+    parameter changes."""
+    return np.linalg.eigvalsh(_scaled_matrix(fim, _unit_scale(fim.theta)))
 
 
 def ellipsoid_log_volume(fim: FisherMatrix) -> float:
@@ -206,11 +184,6 @@ def ellipsoid_log_volume(fim: FisherMatrix) -> float:
     return -0.5 * log_det
 
 
-def normalized_volume(log_volume: float, log_volume_ref: float) -> float:
-    """Ellipsoid volume in per-unit terms of a reference grid's volume."""
-    return float(np.exp(log_volume - log_volume_ref))
-
-
 @dataclass(frozen=True, eq=False)
 class UncertaintyReport:
     """Bundle of the derived uncertainty figures for one (theta, grid)."""
@@ -218,7 +191,6 @@ class UncertaintyReport:
     theta: ParameterVector
     crlb: np.ndarray
     eigvals: np.ndarray
-    eigen_scaling: str
     log_volume: float
 
     def __post_init__(self):
@@ -236,23 +208,18 @@ class UncertaintyReport:
             "parameters": self.theta.to_dict(),
             "crlb": dict(zip(PARAMETER_NAMES, self.crlb.tolist())),
             "eigenvalues": self.eigvals.tolist(),
-            "eigen_scaling": self.eigen_scaling,
+            # the only scaling; the key keeps report files unchanged
+            "eigen_scaling": "log",
             "lambda_min": self.lambda_min,
             "log_volume": self.log_volume,
         }
 
 
-def uncertainty_report(fim: FisherMatrix, eigen_scaling: str = "log") -> UncertaintyReport:
+def uncertainty_report(fim: FisherMatrix) -> UncertaintyReport:
     return UncertaintyReport(
         theta=fim.theta,
         crlb=crlb(fim),
-        eigvals=eigenvalues(fim, eigen_scaling),
-        eigen_scaling=eigen_scaling,
+        eigvals=eigenvalues(fim),
         log_volume=ellipsoid_log_volume(fim),
     )
 
-
-def save_report_json(report: UncertaintyReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
-        fh.write("\n")

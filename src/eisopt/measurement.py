@@ -349,14 +349,14 @@ def _to_json_dict(spectrum: Spectrum) -> dict:
 
 def _from_json_dict(data: dict, origin: str) -> Spectrum:
     try:
-        points = data["points"]
-        grid = FrequencyGrid.from_json_dict(data["grid"])
-        mag = [p["mag_ohm"] for p in points]
+        grid_data, points = data["grid"], data["points"]
+        mag = [float(p["mag_ohm"]) for p in points]
         phase = [math.radians(p["phase_deg"]) for p in points]
-        smag = [p["sigma_mag_ohm"] for p in points]
+        smag = [float(p["sigma_mag_ohm"]) for p in points]
         sphase = [math.radians(p["sigma_phase_deg"]) for p in points]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SpectrumFormatError(f"bad spectrum JSON: {exc}") from exc
+    grid = FrequencyGrid.from_json_dict(grid_data)
     provenance = dict(data.get("provenance", {}))
     provenance.setdefault("source", origin)
     return Spectrum(grid, mag, phase, smag, sphase, provenance)

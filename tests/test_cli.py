@@ -1,6 +1,7 @@
 """Command-line interface: outputs, provenance, overrides, exit codes."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import eisopt.design
 from eisopt import (
     ErrorStructure,
     STATE_A,
+    SpectrumFormatError,
     fisher,
     fit_wcnls,
     initialize,
@@ -17,6 +19,7 @@ from eisopt import (
     log_spaced_inclusive,
     model_polar,
     reduce_ppd,
+    save_spectrum,
     synthesize,
     crlb,
     ellipsoid_log_volume,
@@ -71,6 +74,27 @@ def test_fit_recovers_parameters(tmp_path):
     truth = STATE_A.to_dict()
     for name, value in data["parameters"].items():
         assert abs(value - truth[name]) / abs(truth[name]) < 0.5
+
+
+def test_unconverged_fit_writes_its_result_and_exits_numerical_failure(
+    tmp_path, monkeypatch, capsys
+):
+    real_fit = eisopt.cli.fit_wcnls
+
+    def unconverged_fit(spectrum, theta0, *args):
+        result = real_fit(spectrum, theta0, *args)
+        return replace(result, converged=False, message="iteration limit reached")
+
+    assert main(["synth", "--output-dir", str(tmp_path)]) == 0
+    monkeypatch.setattr(eisopt.cli, "fit_wcnls", unconverged_fit)
+    capsys.readouterr()
+    rc = main(["fit", str(tmp_path / "spectrum.csv"), "--output-dir", str(tmp_path)])
+    assert rc == 1
+    data = json.loads((tmp_path / "fit.json").read_text())
+    assert data["converged"] is False
+    assert data["message"] == "iteration limit reached"
+    err = capsys.readouterr().err
+    assert err == "warning: fit did not converge: iteration limit reached\n"
 
 
 def test_sweep_self_normalization_is_exactly_one(tmp_path):
@@ -227,6 +251,33 @@ def test_malformed_spectrum_file_is_usage_error(tmp_path):
     assert main(["fit", str(bad)]) == 2
 
 
+def _corrupt_points(data):
+    data["points"][3]["mag_ohm"] = "n/a"
+
+
+def _corrupt_ppd_default(data):
+    data["grid"]["ppd_default"] = "ten"
+
+
+def _corrupt_threshold(data):
+    data["grid"]["reductions"][0]["threshold_hz"] = "0.1 Hz"
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_corrupt_points, _corrupt_ppd_default, _corrupt_threshold]
+)
+def test_malformed_number_in_spectrum_json_is_format_error(tmp_path, corrupt):
+    grid = reduce_ppd(log_spaced_inclusive(1e4, 0.01, 10), 0.1, 7)
+    path = tmp_path / "spectrum.json"
+    save_spectrum(synthesize(STATE_A, grid, ErrorStructure(), seed=4), path)
+    data = json.loads(path.read_text())
+    corrupt(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(SpectrumFormatError):
+        load_spectrum(path)
+    assert main(["fit", str(path), "--output-dir", str(tmp_path)]) == 2
+
+
 def test_unknown_fixture_is_usage_error(tmp_path):
     rc = main(["synth", "--output-dir", str(tmp_path), "--fixture", "state_z"])
     assert rc == 2
@@ -236,6 +287,14 @@ def test_unknown_config_field_is_usage_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sead": 5}))
     rc = main(["synth", "--output-dir", str(tmp_path), "--config", str(cfg)])
+    assert rc == 2
+
+
+def test_removed_eigen_scaling_design_field_is_usage_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"design": {"eigen_scaling": "log"}}))
+    rc = main(["design", "--output-dir", str(tmp_path), "--config", str(cfg),
+               "--max-iterations", "0"])
     assert rc == 2
 
 

@@ -17,19 +17,17 @@ from eisopt import (
     FrequencyGrid,
     STATE_A,
     SingularInformationError,
-    adjust_frequency,
     eigenvalues,
     ellipsoid_log_volume,
     fisher,
     log_spaced_inclusive,
     reduce_ppd,
     run_design,
-    sensitivity_scan,
     synthesize,
     total_time,
 )
 import eisopt.design
-from eisopt.design import _EigenWorkspace, _frozen_set, _scan_ranking
+from eisopt.design import _EigenWorkspace, _frozen_set, _scan_ranking, adjust_frequency
 
 ERR = ErrorStructure()
 COARSE = FrequencyGrid(tuple(np.logspace(3.0, -1.0, 9)))  # half-decade spacing
@@ -82,7 +80,7 @@ def test_scan_matches_exhaustive_recomputation():
     expected, scores = _oracle_ranking(STATE_A, grid, ERR, cfg)
     ws = _EigenWorkspace(STATE_A, grid, ERR, cfg)
     assert list(_scan_ranking(ws, grid, cfg)) == expected
-    assert sensitivity_scan(STATE_A, grid, ERR, cfg) == expected[0]
+    assert next(_scan_ranking(ws, grid, cfg)) == expected[0]
     # sanity: the winner strictly beats the runner-up
     assert scores[expected[0]] > scores[expected[1]]
 
@@ -124,13 +122,15 @@ def test_scan_excludes_frozen_indices():
 
 def test_fully_frozen_grid_raises():
     two = FrequencyGrid((10.0, 1.0))
+    cfg = DesignConfig()
     with pytest.raises(DesignError):
-        sensitivity_scan(STATE_A, two, ERR, DesignConfig())
+        next(_scan_ranking(_EigenWorkspace(STATE_A, two, ERR, cfg), two, cfg))
 
 
 def test_adjusting_a_frozen_index_raises():
+    cfg = DesignConfig()
     with pytest.raises(DesignError):
-        adjust_frequency(STATE_A, COARSE, 0, ERR, DesignConfig())
+        adjust_frequency(_EigenWorkspace(STATE_A, COARSE, ERR, cfg), COARSE, 0, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,7 @@ def test_climb_finds_quadratic_peak_within_step_resolution():
     target = 1.213
     cfg = DesignConfig()
     stub = _StubWorkspace(COARSE, 4, lambda lf: -((lf - target) ** 2))
-    f_new, status = adjust_frequency(STATE_A, COARSE, 4, ERR, cfg, workspace=stub)
+    f_new, status = adjust_frequency(stub, COARSE, 4, cfg)
     assert status == "adjusted"
     # one-directional climb: accuracy bounded by half the initial step
     assert abs(math.log10(f_new) - target) <= cfg.climb_step_decades / 2 + 1e-12
@@ -154,16 +154,14 @@ def test_climb_clamps_at_frequency_floor():
     floor = 10.0**0.75
     cfg = DesignConfig(min_frequency_hz=floor)
     stub = _StubWorkspace(COARSE, 4, lambda lf: -lf)  # lower is always better
-    f_new, status = adjust_frequency(STATE_A, COARSE, 4, ERR, cfg, workspace=stub)
+    f_new, status = adjust_frequency(stub, COARSE, 4, cfg)
     assert status == "floor-limited"
     assert f_new == pytest.approx(floor, rel=1e-12)
 
 
 def test_climb_reports_stall_on_flat_response():
     stub = _StubWorkspace(COARSE, 4, lambda lf: 0.0)
-    f_new, status = adjust_frequency(
-        STATE_A, COARSE, 4, ERR, DesignConfig(), workspace=stub
-    )
+    f_new, status = adjust_frequency(stub, COARSE, 4, DesignConfig())
     assert status == "stalled"
     assert f_new == pytest.approx(COARSE.frequencies[4], rel=1e-15)
 
@@ -173,7 +171,7 @@ def test_climb_respects_minimum_separation():
     target = math.log10(COARSE.frequencies[5])
     cfg = DesignConfig(min_separation_decades=0.2)
     stub = _StubWorkspace(COARSE, 4, lambda lf: -((lf - target) ** 2))
-    f_new, status = adjust_frequency(STATE_A, COARSE, 4, ERR, cfg, workspace=stub)
+    f_new, status = adjust_frequency(stub, COARSE, 4, cfg)
     assert status == "adjusted"
     others = np.delete(np.log10(COARSE.as_array()), 4)
     gaps = np.abs(others - math.log10(f_new))
@@ -186,7 +184,7 @@ def test_climb_respects_time_budget():
     # lower frequencies cost dwell time; an exact budget forbids any move down
     cfg = DesignConfig(time_budget_s=t_now)
     stub = _StubWorkspace(grid, 4, lambda lf: -lf)
-    f_new, status = adjust_frequency(STATE_A, grid, 4, ERR, cfg, workspace=stub)
+    f_new, status = adjust_frequency(stub, grid, 4, cfg)
     assert status == "stalled"
     assert f_new == pytest.approx(grid.frequencies[4], rel=1e-15)
 
@@ -244,7 +242,7 @@ def test_ladder_climb_matches_sequential_climb_at_the_band_edges(fn):
     cfg = DesignConfig(freeze_endpoints=False)
     for index in range(len(COARSE)):
         stub = _StubWorkspace(COARSE, index, fn)
-        got = adjust_frequency(STATE_A, COARSE, index, ERR, cfg, workspace=stub)
+        got = adjust_frequency(stub, COARSE, index, cfg)
         assert got == _sequential_climb(COARSE, index, cfg, stub)
 
 
@@ -261,7 +259,7 @@ def test_batched_climb_matches_sequential_climb():
     for cfg in configs:
         ws = _EigenWorkspace(STATE_A, grid, ERR, cfg)
         for index in sorted(set(range(len(grid))) - _frozen_set(grid, cfg)):
-            got = adjust_frequency(STATE_A, grid, index, ERR, cfg, workspace=ws)
+            got = adjust_frequency(ws, grid, index, cfg)
             assert got == _sequential_climb(grid, index, cfg, ws)
             statuses.add(got[1])
     assert statuses == {"adjusted", "floor-limited", "stalled"}
@@ -351,7 +349,7 @@ def test_climb_matches_sequential_climb_over_the_domain(theta, grid, data):
     )
     ws = _EigenWorkspace(theta, grid, ERR, cfg)
     for index in data.draw(st.lists(st.integers(1, len(grid) - 2), min_size=1, max_size=4)):
-        got = adjust_frequency(theta, grid, index, ERR, cfg, workspace=ws)
+        got = adjust_frequency(ws, grid, index, cfg)
         assert got == _sequential_climb(grid, index, cfg, ws)
 
 

@@ -123,16 +123,12 @@ def test_weighted_residuals_exposed():
     )
 
 
-def test_fit_result_serializes(tmp_path):
+def test_fit_result_serializes():
     import json
-
-    from eisopt import save_fit_json
 
     spectrum = synthesize(STATE_A, GRID, ERR, seed=2)
     result = fit_wcnls(spectrum, STATE_A)
-    path = tmp_path / "fit.json"
-    save_fit_json(result, path)
-    data = json.loads(path.read_text())
+    data = json.loads(json.dumps(result.to_json_dict()))
     assert data["converged"] is True
     assert set(data["parameters"]) == set(STATE_A.to_dict())
 

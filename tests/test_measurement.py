@@ -13,7 +13,9 @@ from eisopt import (
     SpectrumFormatError,
     load_spectrum,
     log_spaced,
+    log_spaced_inclusive,
     model_polar,
+    reduce_ppd,
     save_spectrum,
     sigma_at,
     synthesize,
@@ -167,13 +169,18 @@ def test_csv_round_trip_full_precision(tmp_path):
 
 
 def test_json_round_trip(tmp_path):
-    spectrum = synthesize(STATE_A, GRID, ErrorStructure(), seed=6)
+    # a reduced grid, so its density provenance has something to carry
+    grid = reduce_ppd(log_spaced_inclusive(1e4, 0.01, 10), 0.1, 7)
+    spectrum = synthesize(STATE_A, grid, ErrorStructure(), seed=6)
     path = tmp_path / "spectrum.json"
     save_spectrum(spectrum, path)
     loaded = load_spectrum(path)
     assert np.array_equal(loaded.mag_ohm, spectrum.mag_ohm)
     assert np.allclose(loaded.phase_rad, spectrum.phase_rad, rtol=5e-16, atol=5e-16)
     assert loaded.provenance["seed"] in (6, "6")
+    assert loaded.grid.frequencies == grid.frequencies
+    assert loaded.grid.ppd_default == grid.ppd_default
+    assert loaded.grid.reductions == grid.reductions
 
 
 def test_csv_provenance_lines_round_trip(tmp_path):
