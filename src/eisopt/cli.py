@@ -23,6 +23,7 @@ still written), 2 invalid input (bad config, malformed files).
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import dataclasses
 import hashlib
@@ -72,7 +73,10 @@ _DEFAULT_CONFIG = {
     "output_dir": None,
 }
 
-_DESIGN_KEYS = {f.name for f in dataclasses.fields(DesignConfig)}
+# The design section sets every DesignConfig field but n_p, which is the
+# experiment's top-level setting: the loop's sweep times and the baseline's
+# must count the same periods per point.
+_DESIGN_KEYS = {f.name for f in dataclasses.fields(DesignConfig)} - {"n_p"}
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -106,7 +110,9 @@ def _load_config_file(path: str | None) -> dict:
 
 def _resolve_config(args: argparse.Namespace) -> dict:
     """Defaults <- config file <- command-line flags, deterministically."""
-    cfg = _deep_merge(_DEFAULT_CONFIG, _load_config_file(getattr(args, "config", None)))
+    cfg = _deep_merge(
+        copy.deepcopy(_DEFAULT_CONFIG), _load_config_file(getattr(args, "config", None))
+    )
     if getattr(args, "fixture", None) is not None:
         cfg["fixture"] = args.fixture
     if getattr(args, "seed", None) is not None:
@@ -175,16 +181,13 @@ def _grid_from_config(cfg: dict, default_family: str) -> FrequencyGrid:
 
 
 def _design_from_config(cfg: dict) -> DesignConfig:
-    d = dict(cfg["design"])
-    unknown = set(d) - _DESIGN_KEYS
+    unknown = set(cfg["design"]) - _DESIGN_KEYS
     if unknown:
         raise DomainError(
             f"unknown design config fields {sorted(unknown)}; "
             f"known fields are {sorted(_DESIGN_KEYS)}"
         )
-    if "frozen_indices" in d:
-        d["frozen_indices"] = tuple(int(i) for i in d["frozen_indices"])
-    return DesignConfig(**d)
+    return DesignConfig(**cfg["design"], n_p=int(cfg["n_p"]))
 
 
 def _output_dir(cfg: dict) -> Path:
@@ -250,8 +253,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     out = _output_dir(cfg)
 
     spectrum = load_spectrum(args.spectrum)
-    theta0 = initialize(spectrum)
-    result = fit_wcnls(spectrum, theta0)
+    result = fit_wcnls(spectrum, initialize(spectrum))
     payload = {"provenance": prov, "input": str(args.spectrum)}
     payload.update(result.to_json_dict())
     fit_path = out / args.out
@@ -457,8 +459,6 @@ def _design_overrides(args: argparse.Namespace) -> dict:
         overrides["min_frequency_hz"] = args.min_frequency
     if getattr(args, "unfreeze_endpoints", False):
         overrides["freeze_endpoints"] = False
-    if getattr(args, "n_p", None) is not None:
-        overrides["n_p"] = args.n_p
     return overrides
 
 

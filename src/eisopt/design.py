@@ -22,13 +22,13 @@ import csv
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import ParameterVector
 from .exceptions import DesignError, DomainError, FitError, SingularInformationError
-from .estimation import FitOptions, fit_wcnls, initialize
+from .estimation import fit_wcnls, initialize
 from .frequency import FrequencyGrid, log_spaced_inclusive, total_time
 from .information import (
     FisherMatrix,
@@ -40,35 +40,33 @@ from .information import (
 from .measurement import ErrorStructure, Spectrum, measure_at
 
 
+# Step sizes of the loop, in decades of frequency.  They belong to the
+# search, not to the experiment, so they are constants rather than settings.
+# Probe size for ranking candidate frequencies.
+SCAN_STEP_DECADES = 0.01
+# Hill-climb: initial step, shrink factor on failure, stopping step.
+CLIMB_STEP_DECADES = 0.05
+CLIMB_SHRINK = 0.5
+CLIMB_STOP_DECADES = 1e-4
+# Moved points may not approach an existing one closer than this.
+MIN_SEPARATION_DECADES = 1e-6
+
+
 @dataclass(frozen=True)
 class DesignConfig:
+    """The experiment's constraints on the adjustment loop."""
+
     max_iterations: int = 60
-    # Probe size for ranking candidate frequencies, in decades.
-    scan_step_decades: float = 0.01
-    # Hill-climb: initial step, shrink factor on failure, stopping step.
-    climb_step_decades: float = 0.05
-    climb_shrink: float = 0.5
-    climb_stop_decades: float = 1e-4
-    # Moved points may not approach an existing one closer than this.
-    min_separation_decades: float = 1e-6
     # Hard floor for any frequency; None means the grid's lowest frequency.
     min_frequency_hz: float | None = None
     # Optional cap on the sweep duration of every iteration's grid.
     time_budget_s: float | None = None
     n_p: int = 5
     freeze_endpoints: bool = True
-    frozen_indices: tuple = field(default_factory=tuple)
-    include_variance_term: bool = True
 
     def __post_init__(self):
         if self.max_iterations < 0:
             raise DomainError("max_iterations must be >= 0")
-        for name in ("scan_step_decades", "climb_step_decades", "climb_shrink",
-                     "climb_stop_decades", "min_separation_decades"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be positive")
-        if self.climb_shrink >= 1.0:
-            raise DomainError("climb_shrink must be < 1")
         if self.n_p < 1:
             raise DomainError("n_p must be >= 1")
 
@@ -181,20 +179,13 @@ class _EigenWorkspace:
     evaluation.
     """
 
-    def __init__(self, theta: ParameterVector, grid: FrequencyGrid,
-                 err: ErrorStructure, cfg: DesignConfig):
+    def __init__(self, theta: ParameterVector, grid: FrequencyGrid, err: ErrorStructure):
         self.theta = theta
         self.err = err
-        self.cfg = cfg
         self.freqs = grid.as_array()
-        self.parts = fisher_contributions(
-            theta, grid, err, cfg.include_variance_term
-        )
+        self.parts = fisher_contributions(theta, grid, err)
         self.total = np.sum(self.parts, axis=0)
-        self.fim = FisherMatrix(
-            0.5 * (self.total + self.total.T), theta, grid, err,
-            cfg.include_variance_term,
-        )
+        self.fim = FisherMatrix(0.5 * (self.total + self.total.T), theta)
         scale = _unit_scale(theta)
         self._outer = np.outer(scale, scale)
         scaled = self.total * self._outer
@@ -205,10 +196,8 @@ class _EigenWorkspace:
 
     def _moved(self, indices, freqs_hz) -> np.ndarray:
         """Stack of unscaled information matrices, one per move."""
-        contrib = fisher_contributions(
-            self.theta, np.asarray(freqs_hz, dtype=float), self.err,
-            self.cfg.include_variance_term,
-        )
+        freqs = np.asarray(freqs_hz, dtype=float)
+        contrib = fisher_contributions(self.theta, freqs, self.err)
         return self.total - self.parts[np.asarray(indices)] + contrib
 
     def _solve(self, moved: np.ndarray) -> np.ndarray:
@@ -217,19 +206,17 @@ class _EigenWorkspace:
     def _bounds(self, moved: np.ndarray) -> np.ndarray:
         return moved @ self._u @ self._u + self._slack
 
-    def lambdas_with_moves(self, indices, freqs_hz, floor=None) -> np.ndarray:
+    def lambdas_with_moves(self, indices, freqs_hz, floor) -> np.ndarray:
         """Smallest scaled eigenvalue after moving point ``indices[k]`` to
         ``freqs_hz[k]``, for every k; each move is applied on its own.
 
-        With a ``floor``, only the moves whose Rayleigh bound exceeds it are
-        solved; every other entry is its bound, which lies between the
-        move's eigenvalue and ``floor``.  So every entry above ``floor`` is
-        exact, and a comparison ``entry > floor`` decides as the exact
-        eigenvalue would.  A NaN bound proves nothing and is solved.
+        Only the moves whose Rayleigh bound exceeds ``floor`` are solved;
+        every other entry is its bound, which lies between the move's
+        eigenvalue and ``floor``.  So every entry above ``floor`` is exact,
+        and a comparison ``entry > floor`` decides as the exact eigenvalue
+        would.  A NaN bound proves nothing and is solved.
         """
         moved = self._moved(indices, freqs_hz)
-        if floor is None:
-            return self._solve(moved)
         lams = self._bounds(moved)
         solve = ~(lams <= floor)
         if solve.any():
@@ -238,10 +225,7 @@ class _EigenWorkspace:
 
 
 def _frozen_set(grid: FrequencyGrid, cfg: DesignConfig) -> set:
-    frozen = set(int(i) for i in cfg.frozen_indices)
-    if cfg.freeze_endpoints:
-        frozen.update((0, len(grid) - 1))
-    return frozen
+    return {0, len(grid) - 1} if cfg.freeze_endpoints else set()
 
 
 def _scan_ranking(ws: _EigenWorkspace, grid: FrequencyGrid, cfg: DesignConfig):
@@ -267,7 +251,7 @@ def _scan_ranking(ws: _EigenWorkspace, grid: FrequencyGrid, cfg: DesignConfig):
     if len(frozen) >= len(grid):
         raise DesignError("every grid frequency is frozen; nothing to scan")
     free = [i for i in range(len(grid)) if i not in frozen]
-    step = cfg.scan_step_decades
+    step = SCAN_STEP_DECADES
     probes = [
         10.0 ** (math.log10(ws.freqs[i]) + sign * step)
         for i in free
@@ -300,10 +284,11 @@ def adjust_frequency(ws: _EigenWorkspace, grid: FrequencyGrid, index: int,
     """Hill-climb one frequency in log space to raise the smallest eigenvalue
     of the workspace's matrix.
 
-    Returns (new_frequency_hz, status) with status one of "adjusted",
-    "floor-limited" (the improving direction ran into the frequency floor
-    or band edge) or "stalled" (no improving move even at the smallest
-    step; the frequency is returned unchanged).
+    Returns (new_frequency_hz, status, lambda_min) with status one of
+    "adjusted", "floor-limited" (the improving direction ran into the
+    frequency floor or band edge) or "stalled" (no improving move even at
+    the smallest step; the frequency and the eigenvalue are returned
+    unchanged).  ``lambda_min`` is the solved eigenvalue after the move.
 
     From a fixed point the climb tries shrinking steps until one gains, so
     each such run of probes is one batched ladder against a fixed
@@ -334,15 +319,15 @@ def adjust_frequency(ws: _EigenWorkspace, grid: FrequencyGrid, index: int,
         with another point or exceed the time budget."""
         nonlocal clamped
         steps = []
-        while step >= cfg.climb_stop_decades:
+        while step >= CLIMB_STOP_DECADES:
             steps.append(step)
-            step *= cfg.climb_shrink
+            step *= CLIMB_SHRINK
         if not steps:
             return None
         targets = np.array([origin + sign * s for s in steps for sign in signs])
         logs = np.minimum(np.maximum(targets, log_lo), log_hi)
         probes = [10.0**x for x in logs.tolist()]
-        ok = ~np.any(np.abs(others - logs) < cfg.min_separation_decades, axis=0)
+        ok = ~np.any(np.abs(others - logs) < MIN_SEPARATION_DECADES, axis=0)
         if t_base is not None:
             ok &= ~(t_base + cfg.n_p / np.array(probes) > cfg.time_budget_s)
         lams = np.full(len(logs), -np.inf)
@@ -361,15 +346,14 @@ def adjust_frequency(ws: _EigenWorkspace, grid: FrequencyGrid, index: int,
         best = level * len(signs) + int(np.argmax(gains[level]))
         return float(logs[best]), float(lams[best]), steps[level], signs[best % len(signs)]
 
-    found = ladder(math.log10(freqs[index]), ws.lambda_min,
-                   cfg.climb_step_decades, (1.0, -1.0))
+    found = ladder(math.log10(freqs[index]), ws.lambda_min, CLIMB_STEP_DECADES, (1.0, -1.0))
     if found is None:
-        return float(freqs[index]), "stalled"
+        return float(freqs[index]), "stalled", ws.lambda_min
     while found is not None:
         current_log, current_lam, step, direction = found
         found = ladder(current_log, current_lam, step, (direction,))
     status = "floor-limited" if clamped else "adjusted"
-    return float(10.0**current_log), status
+    return float(10.0**current_log), status, current_lam
 
 
 def _reference_grid(grid: FrequencyGrid) -> FrequencyGrid:
@@ -383,9 +367,7 @@ def _reference_grid(grid: FrequencyGrid) -> FrequencyGrid:
 
 def _volume_pair(ws: _EigenWorkspace, ref_grid: FrequencyGrid):
     logv = ellipsoid_log_volume(ws.fim)
-    logv_ref = ellipsoid_log_volume(
-        fisher(ws.theta, ref_grid, ws.err, ws.cfg.include_variance_term)
-    )
+    logv_ref = ellipsoid_log_volume(fisher(ws.theta, ref_grid, ws.err))
     return logv, logv_ref
 
 
@@ -396,8 +378,6 @@ def run_design(
     err: ErrorStructure | None = None,
     seed: int = 0,
     reference_grid: FrequencyGrid | None = None,
-    theta0: ParameterVector | None = None,
-    fit_opts: FitOptions | None = None,
 ) -> AdjustmentTrace:
     """Run the full adjustment loop on a measured (or synthetic) spectrum.
 
@@ -416,13 +396,8 @@ def run_design(
     rng = np.random.default_rng(seed)
     ref = reference_grid if reference_grid is not None else _reference_grid(spectrum.grid)
 
-    theta_hat = theta0
-    if theta_hat is None:
-        theta_hat = initialize(spectrum)
-    result = fit_wcnls(spectrum, theta_hat, fit_opts)
-    theta_hat = result.theta
-
-    ws = _EigenWorkspace(theta_hat, spectrum.grid, err, cfg)
+    theta_hat = fit_wcnls(spectrum, initialize(spectrum)).theta
+    ws = _EigenWorkspace(theta_hat, spectrum.grid, err)
     try:
         logv, logv_ref = _volume_pair(ws, ref)
     except SingularInformationError as exc:
@@ -455,31 +430,29 @@ def run_design(
     for iteration in range(1, cfg.max_iterations + 1):
         # Most influential point first; when its own moves cannot improve
         # the eigenvalue, fall through the ranking to the next candidate.
-        f_new, status, index = None, "stalled", None
+        index = None
         for candidate in _scan_ranking(ws, spectrum.grid, cfg):
-            f_new, status = adjust_frequency(ws, spectrum.grid, candidate, cfg)
+            f_new, status, lam_after = adjust_frequency(ws, spectrum.grid, candidate, cfg)
             if status != "stalled":
                 index = candidate
                 break
-        if status == "stalled":
+        if index is None:
             terminated = "stalled"
             break
         f_old = spectrum.grid.frequencies[index]
         lam_before = ws.lambda_min
-        lam_after = float(ws.lambdas_with_moves([index], [f_new])[0])
 
         mag, phase, smag, sphase = measure_at(
             theta_true_for_simulation, f_new, err, rng
         )
         spectrum = spectrum.with_replaced_point(index, f_new, mag, phase, smag, sphase)
         try:
-            result = fit_wcnls(spectrum, theta_hat, fit_opts)
+            theta_hat = fit_wcnls(spectrum, theta_hat).theta
         except FitError as exc:
             terminated = f"fit_error: {exc}"
             break
-        theta_hat = result.theta
 
-        ws = _EigenWorkspace(theta_hat, spectrum.grid, err, cfg)
+        ws = _EigenWorkspace(theta_hat, spectrum.grid, err)
         # A refit can collapse an arc (R -> 0, Q -> inf) and leave the
         # information matrix singular; the trace ends there like a failed fit.
         try:

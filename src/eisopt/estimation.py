@@ -159,9 +159,9 @@ def objective_value(spectrum: Spectrum, theta: ParameterVector) -> float:
 
 
 def fit_wcnls(
-    spectrum: Spectrum, theta0: ParameterVector, opts: FitOptions | None = None
+    spectrum: Spectrum, theta_start: ParameterVector, opts: FitOptions | None = None
 ) -> FitResult:
-    """Minimize the weighted magnitude/phase objective from ``theta0``.
+    """Minimize the weighted magnitude/phase objective from ``theta_start``.
 
     Accepted steps never increase the objective.  Non-convergence within
     the iteration budget returns the best iterate flagged unconverged;
@@ -170,8 +170,8 @@ def fit_wcnls(
     convergence measures have not triggered.
     """
     opts = opts or FitOptions()
-    theta0.validate()
-    x = _project(_to_internal(theta0.to_array()))
+    theta_start.validate()
+    x = _project(_to_internal(theta_start.to_array()))
     r, jac = _weighted_residuals_jacobian(spectrum, _from_internal(x), with_jac=True)
     obj = float(r @ r)
     grad = 2.0 * (jac.T @ r)

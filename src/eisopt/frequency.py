@@ -140,11 +140,16 @@ def log_spaced_inclusive(f_start: float, f_end: float, ppd: int) -> FrequencyGri
     ppd = int(ppd)
     if ppd < 1:
         raise DomainError("ppd must be >= 1")
+    freqs = _inclusive_frequencies(f_start, f_end, ppd)
+    return FrequencyGrid(tuple(freqs), ppd_default=ppd)
+
+
+def _inclusive_frequencies(f_start: float, f_end: float, ppd: int) -> np.ndarray:
+    """The frequencies of :func:`log_spaced_inclusive`, unvalidated, as an array."""
     span = math.log10(f_start) - math.log10(f_end)
     spacing = 1.0 / max(ppd - 1, 1)
     intervals = max(1, round(span / spacing))
-    freqs = np.logspace(math.log10(f_start), math.log10(f_end), intervals + 1)
-    return FrequencyGrid(tuple(freqs), ppd_default=ppd)
+    return np.logspace(math.log10(f_start), math.log10(f_end), intervals + 1)
 
 
 def reduce_ppd(grid: FrequencyGrid, f_threshold: float, ppd_low: int) -> FrequencyGrid:
@@ -177,11 +182,7 @@ def reduce_ppd(grid: FrequencyGrid, f_threshold: float, ppd_low: int) -> Frequen
     if span <= MERGE_RTOL:
         low = [float(f_threshold)]
     else:
-        spacing = 1.0 / max(ppd_low - 1, 1)
-        intervals = max(1, round(span / spacing))
-        low = list(
-            np.logspace(math.log10(f_threshold), math.log10(grid.f_end), intervals + 1)
-        )
+        low = list(_inclusive_frequencies(f_threshold, grid.f_end, ppd_low))
 
     merged = _merge_decreasing(upper + low)
     return FrequencyGrid(

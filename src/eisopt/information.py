@@ -8,7 +8,7 @@ circuit parameters is
 with diagonal weights W = 1/sigma^2 and S the contribution from the
 magnitude variance depending on the parameters through the model magnitude
 (sigma_rho is proportional to rho(theta)).  S is tiny at percent-level
-noise but is included by default for completeness; a flag disables it.
+noise and is always included.
 
 Raw-unit entries of F span roughly twenty orders of magnitude because the
 parameters range from milliohms to 1e7.  Every factorization here therefore
@@ -42,13 +42,10 @@ PD_RTOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class FisherMatrix:
-    """11 x 11 information matrix with its evaluation context."""
+    """11 x 11 information matrix at the parameters it was evaluated at."""
 
     matrix: np.ndarray
     theta: ParameterVector
-    grid: object
-    err: ErrorStructure
-    includes_variance_term: bool = True
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
@@ -63,37 +60,26 @@ class FisherMatrix:
         object.__setattr__(self, "matrix", m)
 
 
-def _point_weights(err: ErrorStructure, mag: np.ndarray, include_variance_term: bool):
+def _point_weights(err: ErrorStructure, mag: np.ndarray):
     """Per-point outer-product weights for the magnitude and phase rows."""
-    w_mag = 1.0 / (err.sigma_rel_mag * mag) ** 2
-    if include_variance_term:
-        # d(sigma_mag^2)/dtheta = 2 c^2 rho drho with c = sigma_rel_mag, so
-        # the variance-sensitivity term collapses to 2 drho drho^T / rho^2.
-        w_mag = w_mag + 2.0 / mag**2
+    # d(sigma_mag^2)/dtheta = 2 c^2 rho drho with c = sigma_rel_mag, so the
+    # variance-sensitivity term S collapses to 2 drho drho^T / rho^2.
+    w_mag = 1.0 / (err.sigma_rel_mag * mag) ** 2 + 2.0 / mag**2
     w_phase = np.full_like(mag, 1.0 / err.sigma_phase_rad**2)
     return w_mag, w_phase
 
 
-def _contributions(
-    theta: ParameterVector,
-    freqs_hz: np.ndarray,
-    err: ErrorStructure,
-    include_variance_term: bool,
-) -> np.ndarray:
+def _contributions(theta: ParameterVector, freqs_hz: np.ndarray,
+                   err: ErrorStructure) -> np.ndarray:
     z, dz = _impedance_and_gradient(theta.to_array(), 2.0 * np.pi * freqs_hz)
     mag, dmag, dphase = _polar_sensitivities(z, dz)
-    w_mag, w_phase = _point_weights(err, mag, include_variance_term)
+    w_mag, w_phase = _point_weights(err, mag)
     out = np.einsum("i,ij,ik->ijk", w_mag, dmag, dmag)
     out += np.einsum("i,ij,ik->ijk", w_phase, dphase, dphase)
     return out
 
 
-def fisher_contributions(
-    theta: ParameterVector,
-    grid,
-    err: ErrorStructure,
-    include_variance_term: bool = True,
-) -> np.ndarray:
+def fisher_contributions(theta: ParameterVector, grid, err: ErrorStructure) -> np.ndarray:
     """Per-frequency additive pieces of the information matrix.
 
     Returns shape (n, 11, 11); their sum equals :func:`fisher`'s matrix.
@@ -108,22 +94,17 @@ def fisher_contributions(
         raise DomainError("frequency set must be nonempty")
     if not np.all(freqs > 0.0):
         raise DomainError("frequencies must be positive")
-    return _contributions(theta, freqs, err, include_variance_term)
+    return _contributions(theta, freqs, err)
 
 
-def fisher(
-    theta: ParameterVector,
-    grid,
-    err: ErrorStructure,
-    include_variance_term: bool = True,
-) -> FisherMatrix:
+def fisher(theta: ParameterVector, grid, err: ErrorStructure) -> FisherMatrix:
     """Information matrix at ``theta`` for the given frequency set."""
-    parts = fisher_contributions(theta, grid, err, include_variance_term)
+    parts = fisher_contributions(theta, grid, err)
     # np.sum reduces pairwise, keeping the result independent of point
     # ordering to well below the tolerances used downstream.
     matrix = np.sum(parts, axis=0)
     matrix = 0.5 * (matrix + matrix.T)
-    return FisherMatrix(matrix, theta, grid, err, include_variance_term)
+    return FisherMatrix(matrix, theta)
 
 
 def _unit_scale(theta: ParameterVector) -> np.ndarray:

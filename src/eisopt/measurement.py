@@ -350,13 +350,22 @@ def _to_json_dict(spectrum: Spectrum) -> dict:
 def _from_json_dict(data: dict, origin: str) -> Spectrum:
     try:
         grid_data, points = data["grid"], data["points"]
+        f_hz = tuple(float(p["f_hz"]) for p in points)
         mag = [float(p["mag_ohm"]) for p in points]
         phase = [math.radians(p["phase_deg"]) for p in points]
         smag = [float(p["sigma_mag_ohm"]) for p in points]
         sphase = [math.radians(p["sigma_phase_deg"]) for p in points]
     except (KeyError, TypeError, ValueError) as exc:
         raise SpectrumFormatError(f"bad spectrum JSON: {exc}") from exc
-    grid = FrequencyGrid.from_json_dict(grid_data)
     provenance = dict(data.get("provenance", {}))
     provenance.setdefault("source", origin)
-    return Spectrum(grid, mag, phase, smag, sphase, provenance)
+    try:
+        grid = FrequencyGrid.from_json_dict(grid_data)
+        spectrum = Spectrum(grid, mag, phase, smag, sphase, provenance)
+    except DomainError as exc:
+        raise SpectrumFormatError(f"bad spectrum JSON: {exc}") from exc
+    if f_hz != grid.frequencies:
+        raise SpectrumFormatError(
+            "bad spectrum JSON: the points' f_hz differ from the grid's frequencies_hz"
+        )
+    return spectrum

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, provenance, overrides, exit codes."""
 
+import dataclasses
 import json
 from dataclasses import replace
 
@@ -9,7 +10,9 @@ import pytest
 import eisopt.cli
 import eisopt.design
 from eisopt import (
+    DesignConfig,
     ErrorStructure,
+    FrequencyGrid,
     STATE_A,
     SpectrumFormatError,
     fisher,
@@ -177,6 +180,42 @@ def test_design_zero_iterations_matches_library_delta(tmp_path):
     assert (tmp_path / "design_trace_ppd7.csv").exists()
 
 
+def _design_delta_time(out_dir, *args):
+    assert main(["design", "--output-dir", str(out_dir), "--max-iterations", "0",
+                 *args]) == 0
+    return float(_data_lines(out_dir / "design_summary.csv")[1].split(",")[3])
+
+
+def test_design_reads_periods_per_point_from_the_config_file_as_from_the_flag(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_p": 3}))
+    from_file = _design_delta_time(tmp_path / "file", "--config", str(cfg))
+    from_flag = _design_delta_time(tmp_path / "flag", "--n-p", "3")
+    default = _design_delta_time(tmp_path / "default")
+    # the baseline and the loop's trace count the same periods per point,
+    # so the time saving of the thinned grid does not depend on n_p
+    assert from_file == from_flag == pytest.approx(default, rel=1e-12)
+    assert from_file < 0.0
+
+
+def test_every_design_option_has_a_flag(tmp_path, monkeypatch):
+    seen = []
+    real_run_design = eisopt.cli.run_design
+
+    def recording_run_design(spectrum, theta, cfg, **kwargs):
+        seen.append(cfg)
+        return real_run_design(spectrum, theta, cfg, **kwargs)
+
+    monkeypatch.setattr(eisopt.cli, "run_design", recording_run_design)
+    rc = main(["design", "--output-dir", str(tmp_path), "--max-iterations", "3",
+               "--time-budget", "3000", "--min-frequency", "0.02",
+               "--unfreeze-endpoints", "--n-p", "3"])
+    assert rc == 0 and len(seen) == 1
+    default = DesignConfig()
+    for f in dataclasses.fields(DesignConfig):
+        assert getattr(seen[0], f.name) != getattr(default, f.name), f.name
+
+
 def test_design_remeasurement_noise_is_independent_of_the_sweep(tmp_path, monkeypatch):
     spectra, samples = [], []
     real_synthesize, real_measure_at = eisopt.cli.synthesize, eisopt.design.measure_at
@@ -278,6 +317,35 @@ def test_malformed_number_in_spectrum_json_is_format_error(tmp_path, corrupt):
     assert main(["fit", str(path), "--output-dir", str(tmp_path)]) == 2
 
 
+def _garbage_point_frequencies(data):
+    for point in data["points"]:
+        point["f_hz"] = "garbage"
+
+
+def _reversed_grid(data):
+    data["grid"]["frequencies_hz"].reverse()
+
+
+def _three_points_for_five_frequencies(data):
+    del data["points"][3:]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_garbage_point_frequencies, _reversed_grid, _three_points_for_five_frequencies],
+)
+def test_spectrum_json_that_disagrees_with_its_grid_is_format_error(tmp_path, corrupt):
+    grid = FrequencyGrid(tuple(np.logspace(2.0, -2.0, 5)))
+    path = tmp_path / "spectrum.json"
+    save_spectrum(synthesize(STATE_A, grid, ErrorStructure(), seed=4), path)
+    data = json.loads(path.read_text())
+    corrupt(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(SpectrumFormatError, match="^bad spectrum JSON: "):
+        load_spectrum(path)
+    assert main(["fit", str(path), "--output-dir", str(tmp_path)]) == 2
+
+
 def test_unknown_fixture_is_usage_error(tmp_path):
     rc = main(["synth", "--output-dir", str(tmp_path), "--fixture", "state_z"])
     assert rc == 2
@@ -290,9 +358,26 @@ def test_unknown_config_field_is_usage_error(tmp_path):
     assert rc == 2
 
 
-def test_removed_eigen_scaling_design_field_is_usage_error(tmp_path):
+# Design-section keys that no longer configure anything, with values that
+# were once valid.  n_p is the experiment's top-level field, so the design
+# section cannot set it apart from the baseline's.
+_REMOVED_DESIGN_FIELDS = {
+    "eigen_scaling": "log",
+    "scan_step_decades": 0.01,
+    "climb_step_decades": 0.05,
+    "climb_shrink": 0.5,
+    "climb_stop_decades": 1e-4,
+    "min_separation_decades": 1e-6,
+    "frozen_indices": [2, 5],
+    "include_variance_term": True,
+    "n_p": 5,
+}
+
+
+@pytest.mark.parametrize("key", _REMOVED_DESIGN_FIELDS)
+def test_removed_design_field_is_usage_error(tmp_path, key):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"design": {"eigen_scaling": "log"}}))
+    cfg.write_text(json.dumps({"design": {key: _REMOVED_DESIGN_FIELDS[key]}}))
     rc = main(["design", "--output-dir", str(tmp_path), "--config", str(cfg),
                "--max-iterations", "0"])
     assert rc == 2
@@ -347,6 +432,13 @@ def test_flag_overrides_config_file(tmp_path):
         (tmp_path / "f" / "spectrum.csv.provenance.json").read_text()
     )
     assert prov["provenance"]["seed"] == 7
+
+
+def test_flags_of_one_run_do_not_carry_into_the_next(tmp_path):
+    assert main(["synth", "--output-dir", str(tmp_path / "narrow"), "--f-end", "1"]) == 0
+    assert len(_data_lines(tmp_path / "narrow" / "spectrum.csv")) == 1 + 41
+    assert main(["synth", "--output-dir", str(tmp_path / "default")]) == 0
+    assert len(_data_lines(tmp_path / "default" / "spectrum.csv")) == 1 + 61
 
 
 def test_version_flag_exits_cleanly(capsys):

@@ -37,15 +37,20 @@ UNIT_THETA = ParameterVector.from_array(
 )
 
 
-def _manual_fisher(theta, freqs, err):
+def _manual_fisher(theta, freqs, err, variance_term):
     """Information assembled point by point from the stacked polar Jacobian
-    (itself verified against arbitrary-precision derivatives elsewhere)."""
+    (itself verified against arbitrary-precision derivatives elsewhere).
+
+    ``variance_term`` adds the magnitude-variance sensitivity: with
+    sigma_mag = c * rho it contributes 2 drho drho^T / rho^2 per point."""
     n = freqs.size
     z = ecm_impedance(theta, 2.0 * np.pi * freqs)
     full = jacobian(theta, freqs)
     g_mag, g_phase = full[:n], full[n:]
     mag = np.abs(z)
     w_mag = 1.0 / (err.sigma_rel_mag * mag) ** 2
+    if variance_term:
+        w_mag = w_mag + 2.0 / mag**2
     w_phase = 1.0 / err.sigma_phase_rad**2
     out = np.zeros((11, 11))
     for i in range(n):
@@ -56,14 +61,14 @@ def _manual_fisher(theta, freqs, err):
 
 def test_matrix_matches_manual_gaussian_assembly():
     freqs = np.array([3162.0, 17.0, 0.031])
-    fim = fisher(STATE_A, freqs, ERR, include_variance_term=False)
-    manual = _manual_fisher(STATE_A, freqs, ERR)
+    fim = fisher(STATE_A, freqs, ERR)
+    manual = _manual_fisher(STATE_A, freqs, ERR, variance_term=True)
     assert np.allclose(fim.matrix, manual, rtol=1e-12, atol=0.0)
 
 
 def test_single_point_outer_product_structure():
     freqs = np.array([5.0])
-    fim = fisher(STATE_A, freqs, ERR, include_variance_term=False)
+    fim = fisher(STATE_A, freqs, ERR)
     # one magnitude row and one phase row: rank two
     assert np.linalg.matrix_rank(fim.matrix, tol=1e-6 * np.max(np.abs(fim.matrix))) == 2
 
@@ -84,8 +89,8 @@ def test_contributions_sum_to_matrix():
 
 
 def test_variance_term_is_a_small_positive_addition():
-    off = fisher(STATE_A, GRID, ERR, include_variance_term=False).matrix
-    on = fisher(STATE_A, GRID, ERR, include_variance_term=True).matrix
+    off = _manual_fisher(STATE_A, GRID.as_array(), ERR, variance_term=False)
+    on = fisher(STATE_A, GRID, ERR).matrix
     delta = on - off
     assert np.all(np.linalg.eigvalsh(delta) >= -1e-9 * np.max(np.abs(delta)))
     assert np.max(np.abs(delta)) < 1e-3 * np.max(np.abs(off))
@@ -98,7 +103,7 @@ def test_variance_term_is_a_small_positive_addition():
 
 def test_crlb_of_diagonal_matrix():
     a = np.array([4.0, 9.0, 1.0, 16.0, 25.0, 2.0, 5.0, 10.0, 0.5, 8.0, 3.0])
-    fim = FisherMatrix(np.diag(a), UNIT_THETA, GRID, ERR)
+    fim = FisherMatrix(np.diag(a), UNIT_THETA)
     assert np.allclose(crlb(fim), 1.0 / a, rtol=1e-12)
 
 
@@ -106,17 +111,21 @@ def test_crlb_of_embedded_coupled_block():
     m = np.eye(11)
     m[3, 3] = m[6, 6] = 2.0
     m[3, 6] = m[6, 3] = 1.0
-    values = crlb(FisherMatrix(m, UNIT_THETA, GRID, ERR))
+    values = crlb(FisherMatrix(m, UNIT_THETA))
     expected = np.ones(11)
     expected[3] = expected[6] = 2.0 / 3.0
     assert np.allclose(values, expected, rtol=1e-12)
 
 
 def test_crlb_scales_as_sigma_squared_without_variance_term():
-    base = crlb(fisher(STATE_A, GRID, ERR, include_variance_term=False))
+    def bound(err):
+        matrix = _manual_fisher(STATE_A, GRID.as_array(), err, variance_term=False)
+        return crlb(FisherMatrix(matrix, STATE_A))
+
+    base = bound(ERR)
     tight = ErrorStructure(rel_mag_max=0.003, abs_phase_max_deg=0.3)
     c = 0.3
-    scaled = crlb(fisher(STATE_A, GRID, tight, include_variance_term=False))
+    scaled = bound(tight)
     assert np.allclose(scaled, c**2 * base, rtol=1e-9)
 
 
@@ -173,17 +182,17 @@ def test_log_scaled_eigenvalues_measure_relative_curvature():
 
 
 def test_identity_matrix_volume_is_zero():
-    fim = FisherMatrix(np.eye(11), UNIT_THETA, GRID, ERR)
+    fim = FisherMatrix(np.eye(11), UNIT_THETA)
     assert ellipsoid_log_volume(fim) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_uniform_information_gain_shrinks_volume_deterministically():
-    base = FisherMatrix(np.eye(11) * 2.0, UNIT_THETA, GRID, ERR)
+    base = FisherMatrix(np.eye(11) * 2.0, UNIT_THETA)
     assert ellipsoid_log_volume(base) == pytest.approx(
         -5.5 * np.log(2.0), rel=1e-12
     )
     fim = fisher(STATE_A, GRID, ERR)
-    doubled = FisherMatrix(4.0 * fim.matrix, STATE_A, GRID, ERR)
+    doubled = FisherMatrix(4.0 * fim.matrix, STATE_A)
     assert ellipsoid_log_volume(doubled) == pytest.approx(
         ellipsoid_log_volume(fim) - 5.5 * np.log(4.0), rel=1e-9
     )
@@ -236,8 +245,8 @@ def test_invalid_inputs_rejected():
     with pytest.raises(DomainError):
         fisher(STATE_A, np.array([1.0, -2.0]), ERR)
     with pytest.raises(DomainError):
-        FisherMatrix(np.ones((3, 3)), STATE_A, GRID, ERR)
+        FisherMatrix(np.ones((3, 3)), STATE_A)
     bad = np.eye(11)
     bad[0, 1] = 0.5
     with pytest.raises(DomainError):
-        FisherMatrix(bad, STATE_A, GRID, ERR)
+        FisherMatrix(bad, STATE_A)
