@@ -23,7 +23,6 @@ from .design import (
     run_design,
 )
 from .estimation import (
-    FitOptions,
     FitResult,
     fit_wcnls,
     initialize,
@@ -81,7 +80,6 @@ __all__ = [
     "AdjustmentTrace",
     "DesignConfig",
     "run_design",
-    "FitOptions",
     "FitResult",
     "fit_wcnls",
     "initialize",

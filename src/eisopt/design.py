@@ -12,8 +12,9 @@ ellipsoid; pushing it up shrinks the ellipsoid where it is widest.
 All eigenvalue comparisons within one iteration happen at the iteration's
 fixed parameter estimate; moves are only accepted when they improve it, so
 per-adjustment improvement is guaranteed by construction.  The ellipsoid
-volume is reported normalized against a reference grid (by default the
-dense baseline sweep) evaluated at the same parameter estimate.
+volume is reported normalized against the caller's reference grid (the
+dense baseline sweep the reduced grid came from) evaluated at the same
+parameter estimate.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .circuit import ParameterVector
 from .exceptions import DesignError, DomainError, FitError, SingularInformationError
 from .estimation import fit_wcnls, initialize
-from .frequency import FrequencyGrid, log_spaced_inclusive, total_time
+from .frequency import FrequencyGrid, total_time
 from .information import (
     FisherMatrix,
     _unit_scale,
@@ -65,10 +66,23 @@ class DesignConfig:
     freeze_endpoints: bool = True
 
     def __post_init__(self):
-        if self.max_iterations < 0:
-            raise DomainError("max_iterations must be >= 0")
-        if self.n_p < 1:
-            raise DomainError("n_p must be >= 1")
+        # Values may come straight from a JSON config file, so the types are
+        # checked too: "5" or "false" must not pass as a count or a flag.
+        for name, low in (("max_iterations", 0), ("n_p", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("min_frequency_hz", "time_budget_s"):
+            value = getattr(self, name)
+            if value is not None and not (
+                isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value) and value > 0
+            ):
+                raise DomainError(f"{name} must be a finite number > 0, got {value!r}")
+        if not isinstance(self.freeze_endpoints, bool):
+            raise DomainError(
+                f"freeze_endpoints must be true or false, got {self.freeze_endpoints!r}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +125,6 @@ class AdjustmentStep:
 class AdjustmentTrace:
     steps: tuple
     terminated: str
-    config: DesignConfig
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
@@ -356,15 +369,6 @@ def adjust_frequency(ws: _EigenWorkspace, grid: FrequencyGrid, index: int,
     return float(10.0**current_log), status, current_lam
 
 
-def _reference_grid(grid: FrequencyGrid) -> FrequencyGrid:
-    """Dense baseline used for volume normalization: the inclusive sweep at
-    the grid's default density over the same band.  Falls back to the grid
-    itself when no density provenance is recorded."""
-    if grid.ppd_default is None:
-        return grid
-    return log_spaced_inclusive(grid.f_start, grid.f_end, grid.ppd_default)
-
-
 def _volume_pair(ws: _EigenWorkspace, ref_grid: FrequencyGrid):
     logv = ellipsoid_log_volume(ws.fim)
     logv_ref = ellipsoid_log_volume(fisher(ws.theta, ref_grid, ws.err))
@@ -375,14 +379,20 @@ def run_design(
     spectrum: Spectrum,
     theta_true_for_simulation: ParameterVector,
     cfg: DesignConfig,
-    err: ErrorStructure | None = None,
+    *,
+    err: ErrorStructure,
+    reference_grid: FrequencyGrid,
     seed: int = 0,
-    reference_grid: FrequencyGrid | None = None,
 ) -> AdjustmentTrace:
     """Run the full adjustment loop on a measured (or synthetic) spectrum.
 
     ``theta_true_for_simulation`` drives the simulated re-measurements;
-    the loop's own knowledge of the cell comes only from fits.  ``seed``
+    the loop's own knowledge of the cell comes only from fits.  ``err`` is
+    the instrument error model of the spectrum, the re-measurements and the
+    information matrices.  ``reference_grid`` is the sweep the normalized
+    volume is measured against: pass the dense baseline the spectrum's grid
+    was reduced from, since the volume means "better or worse than that
+    sweep" and cannot be recovered from the reduced grid alone.  ``seed``
     seeds the re-measurement noise.  The trace records iteration 0 (the
     evaluation of the unmodified grid) and one row per adjustment.
 
@@ -392,14 +402,12 @@ def run_design(
     :class:`SingularInformationError` is raised with its message prefixed
     ``"initial fit: "``.
     """
-    err = err or ErrorStructure()
     rng = np.random.default_rng(seed)
-    ref = reference_grid if reference_grid is not None else _reference_grid(spectrum.grid)
 
     theta_hat = fit_wcnls(spectrum, initialize(spectrum)).theta
     ws = _EigenWorkspace(theta_hat, spectrum.grid, err)
     try:
-        logv, logv_ref = _volume_pair(ws, ref)
+        logv, logv_ref = _volume_pair(ws, reference_grid)
     except SingularInformationError as exc:
         # No trace row exists yet, so there is no trace to end: say which
         # fit collapsed and keep the diagnostics.
@@ -456,7 +464,7 @@ def run_design(
         # A refit can collapse an arc (R -> 0, Q -> inf) and leave the
         # information matrix singular; the trace ends there like a failed fit.
         try:
-            logv, logv_ref = _volume_pair(ws, ref)
+            logv, logv_ref = _volume_pair(ws, reference_grid)
         except SingularInformationError as exc:
             terminated = f"singular_information: {exc}"
             break
@@ -478,4 +486,4 @@ def run_design(
             )
         )
 
-    return AdjustmentTrace(steps=tuple(steps), terminated=terminated, config=cfg)
+    return AdjustmentTrace(steps=tuple(steps), terminated=terminated)

@@ -54,29 +54,20 @@ _LOG_IDX = np.array(LOG_SCALE_INDICES)
 _EXP_IDX = np.array(EXPONENT_INDICES)
 
 
-@dataclass(frozen=True)
-class FitOptions:
-    max_iterations: int = 200
-    step_tol: float = 1e-10
-    objective_tol: float = 1e-12
-    gradient_tol: float = 1e-6
-    damping_init: float = 1e-3
-    damping_up: float = 10.0
-    damping_down: float = 10.0
-    damping_max: float = 1e14
-    # Per-iteration cap on the internal-coordinate step (log units for the
-    # scale parameters); keeps a bad quadratic model from launching the
-    # iterate many orders of magnitude away.
-    max_step: float = 3.0
-
-    def __post_init__(self):
-        if self.max_iterations < 0:
-            raise DomainError("max_iterations must be >= 0")
-        for name in ("step_tol", "objective_tol", "gradient_tol",
-                     "damping_init", "damping_up", "damping_down", "damping_max",
-                     "max_step"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be positive")
+# Damped Gauss-Newton settings, read at call time.
+MAX_ITERATIONS = 200
+STEP_TOL = 1e-10
+OBJECTIVE_TOL = 1e-12
+GRADIENT_TOL = 1e-6
+# Initial damping, its factor up after a rejected step and down after an
+# accepted one, and the damping at which the iteration gives up.
+DAMPING_INIT = 1e-3
+DAMPING_FACTOR = 10.0
+DAMPING_MAX = 1e14
+# Per-iteration cap on the internal-coordinate step (log units for the
+# scale parameters); keeps a bad quadratic model from launching the
+# iterate many orders of magnitude away.
+MAX_STEP = 3.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,9 +149,7 @@ def objective_value(spectrum: Spectrum, theta: ParameterVector) -> float:
     return float(r @ r)
 
 
-def fit_wcnls(
-    spectrum: Spectrum, theta_start: ParameterVector, opts: FitOptions | None = None
-) -> FitResult:
+def fit_wcnls(spectrum: Spectrum, theta_start: ParameterVector) -> FitResult:
     """Minimize the weighted magnitude/phase objective from ``theta_start``.
 
     Accepted steps never increase the objective.  Non-convergence within
@@ -169,34 +158,33 @@ def fit_wcnls(
     admissible step of any length decreases the objective and the usual
     convergence measures have not triggered.
     """
-    opts = opts or FitOptions()
     theta_start.validate()
     x = _project(_to_internal(theta_start.to_array()))
     r, jac = _weighted_residuals_jacobian(spectrum, _from_internal(x), with_jac=True)
     obj = float(r @ r)
     grad = 2.0 * (jac.T @ r)
     gnorm = float(np.max(np.abs(grad)))
-    lam = opts.damping_init
+    lam = DAMPING_INIT
     iterations = 0
-    converged = gnorm < opts.gradient_tol
+    converged = gnorm < GRADIENT_TOL
     message = "gradient below tolerance" if converged else "max iterations reached"
 
-    while not converged and iterations < opts.max_iterations:
+    while not converged and iterations < MAX_ITERATIONS:
         iterations += 1
         a = jac.T @ jac
         g = jac.T @ r
         diag = np.maximum(np.diag(a), 1e-300)
         accepted = False
-        while lam <= opts.damping_max:
+        while lam <= DAMPING_MAX:
             m = a + lam * np.diag(diag)
             try:
                 delta = np.linalg.solve(m, g)
             except np.linalg.LinAlgError:
-                lam *= opts.damping_up
+                lam *= DAMPING_FACTOR
                 continue
             biggest = float(np.max(np.abs(delta)))
-            if biggest > opts.max_step:
-                delta = delta * (opts.max_step / biggest)
+            if biggest > MAX_STEP:
+                delta = delta * (MAX_STEP / biggest)
             x_new = _project(x + delta)
             step = float(np.max(np.abs(x_new - x) / (1.0 + np.abs(x))))
             r_new, jac_new = _weighted_residuals_jacobian(
@@ -208,17 +196,17 @@ def fit_wcnls(
                 x, r, jac, obj = x_new, r_new, jac_new, obj_new
                 grad = 2.0 * (jac.T @ r)
                 gnorm = float(np.max(np.abs(grad)))
-                lam = max(lam / opts.damping_down, 1e-12)
+                lam = max(lam / DAMPING_FACTOR, 1e-12)
                 accepted = True
-                if step < opts.step_tol:
+                if step < STEP_TOL:
                     converged, message = True, "step below tolerance"
-                elif decrease < opts.objective_tol:
+                elif decrease < OBJECTIVE_TOL:
                     converged, message = True, "objective decrease below tolerance"
-                elif gnorm < opts.gradient_tol:
+                elif gnorm < GRADIENT_TOL:
                     converged, message = True, "gradient below tolerance"
                 break
-            lam *= opts.damping_up
-            if step < opts.step_tol:
+            lam *= DAMPING_FACTOR
+            if step < STEP_TOL:
                 # The damped step has shrunk to nothing; we are at a
                 # stationary point the objective cannot improve from.
                 converged, message = True, "step below tolerance"
@@ -250,11 +238,12 @@ def _cpe_complex(q: float, phi: float, omega: np.ndarray) -> np.ndarray:
 
 
 def _candidate(r_s, q_hf, phi_hf, r1, q1, p1, r2, q2, p2, q_lf, phi_lf):
-    """Clamp raw estimates into the admissible region and build the vector."""
+    """Clip the scale estimates into [1e-18, 1e18] and build the vector.
+
+    The exponents need no clamp: :func:`initialize` clips each one into its
+    interval before it gets here."""
     arr = np.array([r_s, q_hf, phi_hf, r1, q1, p1, r2, q2, p2, q_lf, phi_lf])
     arr[_LOG_IDX] = np.clip(arr[_LOG_IDX], 1e-18, 1e18)
-    for idx, (lo, hi) in EXPONENT_BOUNDS.items():
-        arr[idx] = min(max(arr[idx], lo if lo > 0 or idx == 2 else _EXP_MARGIN), hi)
     return ParameterVector.from_array(arr)
 
 

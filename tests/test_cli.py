@@ -383,6 +383,27 @@ def test_removed_design_field_is_usage_error(tmp_path, key):
     assert rc == 2
 
 
+# Design values of the wrong type or out of range, from a config file or a
+# flag; each must be a usage error that names the field, not a traceback or
+# a silently misread value ("false" is a true string).
+_BAD_DESIGN_VALUES = {
+    "max_iterations-string": ({"max_iterations": "5"}, []),
+    "freeze_endpoints-string": ({"freeze_endpoints": "false"}, ["--max-iterations", "0"]),
+    "min_frequency_hz-zero": ({}, ["--min-frequency", "0", "--max-iterations", "0"]),
+    "min_frequency_hz-negative": ({}, ["--min-frequency", "-1", "--max-iterations", "0"]),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_DESIGN_VALUES)
+def test_bad_design_value_is_usage_error(tmp_path, capsys, case):
+    design, flags = _BAD_DESIGN_VALUES[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"design": design}))
+    rc = main(["design", "--output-dir", str(tmp_path), "--config", str(cfg), *flags])
+    assert rc == 2
+    assert case.split("-")[0] in capsys.readouterr().err
+
+
 def test_singular_information_is_numerical_error(tmp_path):
     # two-point band: eleven parameters cannot be bounded by four data rows
     rc = main(

@@ -21,6 +21,7 @@ from eisopt import (
     eigenvalues,
     ellipsoid_log_volume,
     fisher,
+    log_spaced,
     log_spaced_inclusive,
     reduce_ppd,
     run_design,
@@ -370,20 +371,44 @@ def test_climb_matches_sequential_climb_over_the_domain(theta, grid, data):
 
 
 def test_config_rejects_bad_values():
-    with pytest.raises(DomainError):
-        DesignConfig(max_iterations=-1)
-    with pytest.raises(DomainError):
-        DesignConfig(n_p=0)
+    # a config file's JSON values arrive unconverted: strings, bools, floats
+    for kwargs in (
+        {"max_iterations": -1},
+        {"max_iterations": "5"},
+        {"max_iterations": 2.0},
+        {"max_iterations": True},
+        {"n_p": 0},
+        {"n_p": "5"},
+        {"n_p": False},
+        {"min_frequency_hz": 0},
+        {"min_frequency_hz": -1.0},
+        {"min_frequency_hz": math.nan},
+        {"min_frequency_hz": "0.02"},
+        {"time_budget_s": 0.0},
+        {"time_budget_s": math.inf},
+        {"time_budget_s": True},
+        {"freeze_endpoints": "false"},
+        {"freeze_endpoints": 0},
+    ):
+        (name,) = kwargs
+        with pytest.raises(DomainError, match=name):
+            DesignConfig(**kwargs)
+
+
+def test_config_accepts_json_integers_as_frequencies_and_times():
+    cfg = DesignConfig(min_frequency_hz=1, time_budget_s=3000)
+    assert (cfg.min_frequency_hz, cfg.time_budget_s) == (1, 3000)
 
 
 # ---------------------------------------------------------------------------
 # full loop
 
 
-GRID = reduce_ppd(log_spaced_inclusive(1e4, 0.01, 10), 1.0, 7)
+BASELINE = log_spaced_inclusive(1e4, 0.01, 10)
+GRID = reduce_ppd(BASELINE, 1.0, 7)
 SPECTRUM = synthesize(STATE_A, GRID, ERR, seed=42)
 CFG = DesignConfig(max_iterations=3)
-TRACE = run_design(SPECTRUM, STATE_A, CFG, seed=42)
+TRACE = run_design(SPECTRUM, STATE_A, CFG, err=ERR, reference_grid=BASELINE, seed=42)
 
 
 def test_loop_trace_structure():
@@ -427,20 +452,32 @@ def test_loop_records_consistent_volumes_and_times():
 
 
 def test_loop_zero_iterations_reports_reduced_grid_state():
-    trace = run_design(SPECTRUM, STATE_A, DesignConfig(max_iterations=0), seed=0)
-    assert len(trace.steps) == 1
-    assert trace.terminated == "max_iterations"
-    step = trace.steps[0]
-    fim = fisher(step.theta, GRID, ERR)
-    ref = fisher(step.theta, log_spaced_inclusive(1e4, 0.01, 10), ERR)
-    expected = math.exp(ellipsoid_log_volume(fim) - ellipsoid_log_volume(ref))
-    assert step.normalized_volume == pytest.approx(expected, rel=1e-10)
-    # thinning below 1 Hz costs volume, but less than a factor of three
-    assert 1.0 < step.normalized_volume < 3.0
+    fractional = log_spaced(1e4, 0.01, 10)
+    thinned = synthesize(STATE_A, reduce_ppd(fractional, 1.0, 7), ERR, seed=42)
+    for spectrum, baseline in ((SPECTRUM, BASELINE), (thinned, fractional)):
+        trace = run_design(spectrum, STATE_A, DesignConfig(max_iterations=0),
+                           err=ERR, reference_grid=baseline, seed=0)
+        assert len(trace.steps) == 1
+        assert trace.terminated == "max_iterations"
+        step = trace.steps[0]
+        fim = fisher(step.theta, spectrum.grid, ERR)
+        ref = fisher(step.theta, baseline, ERR)
+        expected = math.exp(ellipsoid_log_volume(fim) - ellipsoid_log_volume(ref))
+        assert step.normalized_volume == pytest.approx(expected, rel=1e-10)
+        # thinning below 1 Hz costs volume, but less than a factor of three
+        assert 1.0 < step.normalized_volume < 3.0
+
+
+def test_loop_needs_its_error_model_and_reference_grid():
+    for missing in ("err", "reference_grid"):
+        kwargs = {"err": ERR, "reference_grid": BASELINE}
+        del kwargs[missing]
+        with pytest.raises(TypeError, match=missing):
+            run_design(SPECTRUM, STATE_A, CFG, **kwargs)
 
 
 def test_loop_is_deterministic_for_a_seed():
-    again = run_design(SPECTRUM, STATE_A, CFG, seed=42)
+    again = run_design(SPECTRUM, STATE_A, CFG, err=ERR, reference_grid=BASELINE, seed=42)
     assert len(again.steps) == len(TRACE.steps)
     for a, b in zip(again.steps, TRACE.steps):
         assert a.to_json_dict() == b.to_json_dict()
@@ -449,7 +486,7 @@ def test_loop_is_deterministic_for_a_seed():
 def test_loop_respects_time_budget():
     budget = total_time(GRID, 5) * 1.10
     cfg = DesignConfig(max_iterations=2, time_budget_s=budget)
-    trace = run_design(SPECTRUM, STATE_A, cfg, seed=42)
+    trace = run_design(SPECTRUM, STATE_A, cfg, err=ERR, reference_grid=BASELINE, seed=42)
     for step in trace.steps:
         assert step.t_tot_s <= budget + 1e-9
 
@@ -458,8 +495,8 @@ def test_singular_refit_ends_the_trace(monkeypatch):
     real_fit = eisopt.design.fit_wcnls
     calls = []
 
-    def collapsing_fit(spectrum, theta0, opts=None):
-        result = real_fit(spectrum, theta0, opts)
+    def collapsing_fit(spectrum, theta0):
+        result = real_fit(spectrum, theta0)
         calls.append(result)
         if len(calls) == 1:
             return result
@@ -469,7 +506,7 @@ def test_singular_refit_ends_the_trace(monkeypatch):
         )
 
     monkeypatch.setattr(eisopt.design, "fit_wcnls", collapsing_fit)
-    trace = run_design(SPECTRUM, STATE_A, CFG, seed=42)
+    trace = run_design(SPECTRUM, STATE_A, CFG, err=ERR, reference_grid=BASELINE, seed=42)
     assert len(calls) == 2
     assert trace.terminated.startswith("singular_information: ")
     assert len(trace.steps) == 1
@@ -480,8 +517,8 @@ def test_singular_initial_fit_raises_with_context(monkeypatch):
     real_fit = eisopt.design.fit_wcnls
     collapsed = []
 
-    def collapsing_fit(spectrum, theta0, opts=None):
-        result = real_fit(spectrum, theta0, opts)
+    def collapsing_fit(spectrum, theta0):
+        result = real_fit(spectrum, theta0)
         # the initial fit converges onto a shorted second arc
         theta = replace(result.theta, r_2=3.4e-15, q_2=2.2e16, phi_2=1.0)
         collapsed.append(theta)
@@ -489,7 +526,7 @@ def test_singular_initial_fit_raises_with_context(monkeypatch):
 
     monkeypatch.setattr(eisopt.design, "fit_wcnls", collapsing_fit)
     with pytest.raises(SingularInformationError, match=r"^initial fit: ") as info:
-        run_design(SPECTRUM, STATE_A, CFG, seed=42)
+        run_design(SPECTRUM, STATE_A, CFG, err=ERR, reference_grid=BASELINE, seed=42)
     assert len(collapsed) == 1
     with pytest.raises(SingularInformationError) as direct:
         ellipsoid_log_volume(fisher(collapsed[0], GRID, ERR))

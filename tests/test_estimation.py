@@ -5,7 +5,6 @@ import pytest
 
 from eisopt import (
     ErrorStructure,
-    FitOptions,
     FrequencyGrid,
     InitializationError,
     STATE_A,
@@ -17,6 +16,7 @@ from eisopt import (
     objective_value,
     synthesize,
 )
+import eisopt.estimation
 from eisopt.measurement import Spectrum
 
 
@@ -66,20 +66,22 @@ def test_recovers_from_twenty_percent_perturbation():
             assert np.max(rel) < 1e-6, f"worst relative error {np.max(rel):.2e}"
 
 
-def test_objective_never_increases_with_more_iterations():
+def test_objective_never_increases_with_more_iterations(monkeypatch):
     spectrum = synthesize(STATE_A, GRID, ERR, seed=5)
     start = _perturbed(STATE_A, np.ones(11))
     previous = objective_value(spectrum, start)
     for budget in (1, 2, 4, 8, 16, 200):
-        result = fit_wcnls(spectrum, start, FitOptions(max_iterations=budget))
+        monkeypatch.setattr(eisopt.estimation, "MAX_ITERATIONS", budget)
+        result = fit_wcnls(spectrum, start)
         assert result.objective <= previous + 1e-12
         previous = result.objective
 
 
-def test_iteration_budget_flags_nonconvergence():
+def test_iteration_budget_flags_nonconvergence(monkeypatch):
     spectrum = synthesize(STATE_A, GRID, ERR, seed=5)
     start = _perturbed(STATE_A, np.ones(11))
-    result = fit_wcnls(spectrum, start, FitOptions(max_iterations=1))
+    monkeypatch.setattr(eisopt.estimation, "MAX_ITERATIONS", 1)
+    result = fit_wcnls(spectrum, start)
     assert not result.converged
     assert result.objective <= objective_value(spectrum, start)
 
