@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import dataclasses
 import hashlib
 import json
@@ -49,7 +48,14 @@ from .exceptions import (
 from .fixtures import get_fixture
 from .frequency import FrequencyGrid, log_spaced, log_spaced_inclusive, reduce_ppd, total_time
 from .information import crlb, fisher, uncertainty_report
-from .measurement import ErrorStructure, load_spectrum, save_spectrum, synthesize
+from .measurement import (
+    ErrorStructure,
+    load_spectrum,
+    save_spectrum,
+    synthesize,
+    write_json,
+    write_table,
+)
 
 ENV_OUTPUT_DIR = "EISOPT_OUTPUT_DIR"
 
@@ -77,6 +83,9 @@ _DEFAULT_CONFIG = {
 # experiment's top-level setting: the loop's sweep times and the baseline's
 # must count the same periods per point.
 _DESIGN_KEYS = {f.name for f in dataclasses.fields(DesignConfig)} - {"n_p"}
+
+# The columns of the normalized-CRLB tables of crlb-sweep and report.
+_CRLB_COLUMNS = ("parameter", "normalized_crlb", "ppd", "threshold_hz")
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -109,27 +118,38 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults <- config file <- command-line flags, deterministically."""
+    """Defaults <- config file <- command-line flags, deterministically.
+
+    Each flag's ``dest`` is the config key it sets ("seed", "grid.ppd",
+    "design.max_iterations"); a flag left out is None and sets nothing.
+    """
     cfg = _deep_merge(
         copy.deepcopy(_DEFAULT_CONFIG), _load_config_file(getattr(args, "config", None))
     )
-    if getattr(args, "fixture", None) is not None:
-        cfg["fixture"] = args.fixture
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "f_start", None) is not None:
-        cfg["grid"]["f_start_hz"] = args.f_start
-    if getattr(args, "f_end", None) is not None:
-        cfg["grid"]["f_end_hz"] = args.f_end
-    if getattr(args, "grid_ppd", None) is not None:
-        cfg["grid"]["ppd"] = args.grid_ppd
-    if getattr(args, "n_p", None) is not None:
-        cfg["n_p"] = args.n_p
-    if getattr(args, "output_dir", None) is not None:
-        cfg["output_dir"] = args.output_dir
-    for key, value in (getattr(args, "design_overrides", None) or {}).items():
-        cfg["design"][key] = value
+    for key, value in vars(args).items():
+        section, _, name = key.rpartition(".")
+        if value is not None and (section or name) in _DEFAULT_CONFIG:
+            (cfg[section] if section else cfg)[name] = value
+    _check_types(cfg)
     return cfg
+
+
+def _check_types(cfg: dict) -> None:
+    """Name a config number of the wrong JSON type instead of reading 5.7
+    as 5, true as 1 or "1e4" as 1e4.  DesignConfig checks the design section."""
+    grid, err = cfg["grid"], cfg["error"]
+    counts = {"seed": cfg["seed"], "n_p": cfg["n_p"], "grid.ppd": grid["ppd"]}
+    numbers = {f"grid.{k}": grid[k] for k in ("f_start_hz", "f_end_hz")}
+    for f in dataclasses.fields(ErrorStructure):
+        numbers[f"error.{f.name}"] = err[f.name]
+    for k, red in enumerate(grid["reductions"]):
+        counts[f"grid.reductions[{k}].ppd"] = red.get("ppd")
+        numbers[f"grid.reductions[{k}].threshold_hz"] = red.get("threshold_hz")
+    for kinds, kind, values in ((int, "an integer", counts),
+                                ((int, float), "a number", numbers)):
+        for key, value in values.items():
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise DomainError(f"config value {key} must be {kind}, got {value!r}")
 
 
 def _config_hash(cfg: dict) -> str:
@@ -151,32 +171,24 @@ def _theta_from_config(cfg: dict) -> ParameterVector:
 
 
 def _error_from_config(cfg: dict) -> ErrorStructure:
-    err = cfg["error"]
-    try:
-        return ErrorStructure(
-            rel_mag_max=float(err["rel_mag_max"]),
-            abs_phase_max_deg=float(err["abs_phase_max_deg"]),
-            sigma_convention=float(err["sigma_convention"]),
-        )
-    except KeyError as exc:
-        raise DomainError(f"error config missing field {exc.args[0]!r}") from exc
+    # float(): a JSON integer such as 3 enters the spectrum's provenance as 3.0
+    names = [f.name for f in dataclasses.fields(ErrorStructure)]
+    return ErrorStructure(**{name: float(cfg["error"][name]) for name in names})
 
 
 def _grid_from_config(cfg: dict, default_family: str) -> FrequencyGrid:
     g = cfg["grid"]
     family = g.get("family") or default_family
     if family == "formula":
-        grid = log_spaced(float(g["f_start_hz"]), float(g["f_end_hz"]), int(g["ppd"]))
+        grid = log_spaced(g["f_start_hz"], g["f_end_hz"], g["ppd"])
     elif family == "inclusive":
-        grid = log_spaced_inclusive(
-            float(g["f_start_hz"]), float(g["f_end_hz"]), int(g["ppd"])
-        )
+        grid = log_spaced_inclusive(g["f_start_hz"], g["f_end_hz"], g["ppd"])
     else:
         raise DomainError(
             f"unknown grid family {family!r}; use 'formula' or 'inclusive'"
         )
     for red in g.get("reductions", []):
-        grid = reduce_ppd(grid, float(red["threshold_hz"]), int(red["ppd"]))
+        grid = reduce_ppd(grid, red["threshold_hz"], red["ppd"])
     return grid
 
 
@@ -187,7 +199,7 @@ def _design_from_config(cfg: dict) -> DesignConfig:
             f"unknown design config fields {sorted(unknown)}; "
             f"known fields are {sorted(_DESIGN_KEYS)}"
         )
-    return DesignConfig(**cfg["design"], n_p=int(cfg["n_p"]))
+    return DesignConfig(**cfg["design"], n_p=cfg["n_p"])
 
 
 def _output_dir(cfg: dict) -> Path:
@@ -200,20 +212,9 @@ def _output_dir(cfg: dict) -> Path:
 def _provenance(cfg: dict) -> dict:
     return {
         "config_hash": _config_hash(cfg),
-        "seed": int(cfg["seed"]),
+        "seed": cfg["seed"],
         "version": __version__,
     }
-
-
-def _write_provenance_lines(fh, prov: dict) -> None:
-    for key in ("config_hash", "seed", "version"):
-        fh.write(f"# {key}={prov[key]}\n")
-
-
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, default=float)
-        fh.write("\n")
 
 
 def _parse_list(text: str, flag: str, kind) -> list:
@@ -237,12 +238,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     prov = _provenance(cfg)
     out = _output_dir(cfg)
 
-    spectrum = synthesize(theta, grid, err, seed=int(cfg["seed"]), noiseless=args.noiseless)
+    spectrum = synthesize(theta, grid, err, seed=cfg["seed"], noiseless=args.noiseless)
     spectrum.provenance.update(prov)
     csv_path = out / args.out
     save_spectrum(spectrum, csv_path)
     prov_path = csv_path.with_suffix(csv_path.suffix + ".provenance.json")
-    _write_json(prov_path, {"provenance": prov, "config": cfg})
+    write_json(prov_path, {"provenance": prov, "config": cfg})
     print(f"wrote {csv_path} ({spectrum.n} rows) and {prov_path}")
     return 0
 
@@ -257,7 +258,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     payload = {"provenance": prov, "input": str(args.spectrum)}
     payload.update(result.to_json_dict())
     fit_path = out / args.out
-    _write_json(fit_path, payload)
+    write_json(fit_path, payload)
     print(
         f"wrote {fit_path}: objective={result.objective:.6g} "
         f"iterations={result.iterations} converged={result.converged}"
@@ -280,17 +281,17 @@ def cmd_crlb_sweep(args: argparse.Namespace) -> int:
     ppds = _parse_list(args.ppd_list, "--ppd-list", int)
     base_crlb = crlb(fisher(theta, baseline, err))
 
-    sweep_path = out / args.out
-    with open(sweep_path, "w", encoding="utf-8", newline="") as fh:
-        _write_provenance_lines(fh, prov)
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "normalized_crlb", "ppd", "threshold_hz"])
+    def rows():
         for threshold in thresholds:
             for ppd in ppds:
                 reduced = reduce_ppd(baseline, threshold, ppd)
                 ratios = crlb(fisher(theta, reduced, err)) / base_crlb
                 for name, value in zip(PARAMETER_NAMES, ratios):
-                    writer.writerow([name, repr(float(value)), ppd, repr(threshold)])
+                    yield [name, repr(float(value)), ppd, repr(threshold)]
+
+    sweep_path = out / args.out
+    with open(sweep_path, "w", encoding="utf-8", newline="") as fh:
+        write_table(fh, prov, _CRLB_COLUMNS, rows())
     n_rows = len(thresholds) * len(ppds) * len(PARAMETER_NAMES)
     print(f"wrote {sweep_path} ({n_rows} rows)")
     return 0
@@ -307,22 +308,14 @@ def cmd_design(args: argparse.Namespace) -> int:
 
     threshold = float(args.threshold)
     ppds = _parse_list(args.ppd_list, "--ppd-list", int)
-    n_p = int(cfg["n_p"])
-    t_base = total_time(baseline, n_p)
+    t_base = total_time(baseline, cfg["n_p"])
+    # The initial sweep uses the seed as `synth` does; the loop's
+    # re-measurements draw from a stream spawned from it, since reusing
+    # the seed would replay the sweep's noise at the moved points.
+    seed = cfg["seed"]
+    remeasure_seed = int(np.random.SeedSequence(seed).spawn(1)[0].generate_state(1)[0])
 
-    summary_path = out / args.out
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        _write_provenance_lines(fh, prov)
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["ppd", "threshold_hz", "delta_volume_pct", "delta_time_pct",
-             "iterations", "terminated"]
-        )
-        # The initial sweep uses the seed as `synth` does; the loop's
-        # re-measurements draw from a stream spawned from it, since reusing
-        # the seed would replay the sweep's noise at the moved points.
-        seed = int(cfg["seed"])
-        remeasure_seed = int(np.random.SeedSequence(seed).spawn(1)[0].generate_state(1)[0])
+    def rows():
         for ppd in ppds:
             reduced = reduce_ppd(baseline, threshold, ppd)
             spectrum = synthesize(theta, reduced, err, seed=seed)
@@ -336,14 +329,18 @@ def cmd_design(args: argparse.Namespace) -> int:
             stem = f"design_trace_ppd{ppd}"
             trace.save_jsonl(out / f"{stem}.jsonl")
             trace.save_csv(out / f"{stem}.csv")
-            writer.writerow(
-                [ppd, repr(threshold), repr(delta_v), repr(delta_t),
-                 final.iteration, trace.terminated]
-            )
             print(
                 f"ppd {ppd}: dV={delta_v:+.2f}% dt={delta_t:+.2f}% "
                 f"({final.iteration} iterations, {trace.terminated})"
             )
+            yield [ppd, repr(threshold), repr(delta_v), repr(delta_t),
+                   final.iteration, trace.terminated]
+
+    summary_path = out / args.out
+    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
+        columns = ("ppd", "threshold_hz", "delta_volume_pct", "delta_time_pct",
+                   "iterations", "terminated")
+        write_table(fh, prov, columns, rows())
     print(f"wrote {summary_path}")
     return 0
 
@@ -361,7 +358,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.reduce_ppd is not None:
         if args.threshold is None:
             raise DomainError("--reduce-ppd requires --threshold")
-        threshold, ppd = float(args.threshold), int(args.reduce_ppd)
+        threshold, ppd = float(args.threshold), args.reduce_ppd
         grid = reduce_ppd(baseline, threshold, ppd)
 
     base_crlb = crlb(fisher(theta, baseline, err))
@@ -372,19 +369,16 @@ def cmd_report(args: argparse.Namespace) -> int:
     payload = {"provenance": prov}
     payload.update(report.to_json_dict())
     payload["normalized_crlb"] = dict(zip(PARAMETER_NAMES, normalized.tolist()))
-    _write_json(json_path, payload)
+    write_json(json_path, payload)
 
     csv_path = json_path.with_suffix(".csv")
+    rows = (
+        [name, repr(float(value)), ppd if ppd is not None else cfg["grid"]["ppd"],
+         repr(threshold) if threshold is not None else ""]
+        for name, value in zip(PARAMETER_NAMES, normalized)
+    )
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        _write_provenance_lines(fh, prov)
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "normalized_crlb", "ppd", "threshold_hz"])
-        for name, value in zip(PARAMETER_NAMES, normalized):
-            writer.writerow(
-                [name, repr(float(value)),
-                 ppd if ppd is not None else int(cfg["grid"]["ppd"]),
-                 repr(threshold) if threshold is not None else ""]
-            )
+        write_table(fh, prov, _CRLB_COLUMNS, rows)
     print(f"wrote {json_path} and {csv_path}")
     return 0
 
@@ -399,9 +393,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output-dir", help=f"output directory (default: ${ENV_OUTPUT_DIR} or .)")
     common.add_argument("--fixture", help="fixture name (state_a, state_b)")
     common.add_argument("--seed", type=int, help="random seed")
-    common.add_argument("--f-start", type=float, help="highest frequency in Hz")
-    common.add_argument("--f-end", type=float, help="lowest frequency in Hz")
-    common.add_argument("--grid-ppd", type=int, help="baseline grid points per decade")
+    common.add_argument("--f-start", type=float, dest="grid.f_start_hz", metavar="F_START",
+                        help="highest frequency in Hz")
+    common.add_argument("--f-end", type=float, dest="grid.f_end_hz", metavar="F_END",
+                        help="lowest frequency in Hz")
+    common.add_argument("--grid-ppd", type=int, dest="grid.ppd", metavar="GRID_PPD",
+                        help="baseline grid points per decade")
     common.add_argument("--n-p", type=int, help="excitation periods per frequency")
 
     parser = argparse.ArgumentParser(
@@ -433,10 +430,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design", parents=[common], help="run the frequency-adjustment loop")
     p.add_argument("--threshold", default="0.1", help="reduction threshold in Hz")
     p.add_argument("--ppd-list", default="7", help="comma-separated reduced densities")
-    p.add_argument("--max-iterations", type=int, help="adjustment iteration budget")
-    p.add_argument("--time-budget", type=float, help="total experimental time budget in s")
-    p.add_argument("--min-frequency", type=float, help="frequency floor in Hz")
-    p.add_argument("--unfreeze-endpoints", action="store_true",
+    p.add_argument("--max-iterations", type=int, dest="design.max_iterations",
+                   metavar="MAX_ITERATIONS", help="adjustment iteration budget")
+    p.add_argument("--time-budget", type=float, dest="design.time_budget_s",
+                   metavar="TIME_BUDGET", help="total experimental time budget in s")
+    p.add_argument("--min-frequency", type=float, dest="design.min_frequency_hz",
+                   metavar="MIN_FREQUENCY", help="frequency floor in Hz")
+    p.add_argument("--unfreeze-endpoints", action="store_const", const=False,
+                   dest="design.freeze_endpoints",
                    help="allow the loop to move f_start and f_end")
     p.add_argument("--out", default="design_summary.csv", help="summary file name")
     p.set_defaults(func=cmd_design)
@@ -449,23 +450,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _design_overrides(args: argparse.Namespace) -> dict:
-    overrides = {}
-    if getattr(args, "max_iterations", None) is not None:
-        overrides["max_iterations"] = args.max_iterations
-    if getattr(args, "time_budget", None) is not None:
-        overrides["time_budget_s"] = args.time_budget
-    if getattr(args, "min_frequency", None) is not None:
-        overrides["min_frequency_hz"] = args.min_frequency
-    if getattr(args, "unfreeze_endpoints", False):
-        overrides["freeze_endpoints"] = False
-    return overrides
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    args.design_overrides = _design_overrides(args)
     try:
         return args.func(args)
     except (FitError, SingularInformationError, np.linalg.LinAlgError,

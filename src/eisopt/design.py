@@ -19,11 +19,10 @@ parameter estimate.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .information import (
     fisher,
     fisher_contributions,
 )
-from .measurement import ErrorStructure, Spectrum, measure_at
+from .measurement import ErrorStructure, Spectrum, measure_at, write_table
 
 
 # Step sizes of the loop, in decades of frequency.  They belong to the
@@ -104,21 +103,10 @@ class AdjustmentStep:
     grid: FrequencyGrid
 
     def to_json_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "status": self.status,
-            "index": self.index,
-            "f_before_hz": self.f_before_hz,
-            "f_after_hz": self.f_after_hz,
-            "lambda_min_before": self.lambda_min_before,
-            "lambda_min_after": self.lambda_min_after,
-            "log_volume": self.log_volume,
-            "log_volume_ref": self.log_volume_ref,
-            "normalized_volume": self.normalized_volume,
-            "t_tot_s": self.t_tot_s,
-            "theta": self.theta.to_dict(),
-            "grid": self.grid.to_json_dict(),
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["theta"] = self.theta.to_dict()
+        data["grid"] = self.grid.to_json_dict()
+        return data
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,20 +131,13 @@ class AdjustmentTrace:
                 fh.write("\n")
 
     def save_csv(self, path) -> None:
+        columns = ("iteration", "status", "index", "f_before_hz", "f_after_hz",
+                   "lambda_min_before", "lambda_min_after", "log_volume",
+                   "normalized_volume", "t_tot_s")
+        # csv writes a float as its repr and None as an empty cell
+        rows = ([getattr(s, c) for c in columns] for s in self.steps)
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["iteration", "status", "index", "f_before_hz", "f_after_hz",
-                 "lambda_min_before", "lambda_min_after", "log_volume",
-                 "normalized_volume", "t_tot_s"]
-            )
-            for s in self.steps:
-                writer.writerow(
-                    [s.iteration, s.status, s.index, s.f_before_hz, s.f_after_hz,
-                     repr(s.lambda_min_before), repr(s.lambda_min_after),
-                     repr(s.log_volume), repr(s.normalized_volume),
-                     repr(s.t_tot_s)]
-                )
+            write_table(fh, {}, columns, rows)
 
 
 # Rounding allowance on every Rayleigh bound, relative to the largest scaled
@@ -198,7 +179,7 @@ class _EigenWorkspace:
         self.freqs = grid.as_array()
         self.parts = fisher_contributions(theta, grid, err)
         self.total = np.sum(self.parts, axis=0)
-        self.fim = FisherMatrix(0.5 * (self.total + self.total.T), theta)
+        self.fim = FisherMatrix(self.total, theta)
         scale = _unit_scale(theta)
         self._outer = np.outer(scale, scale)
         scaled = self.total * self._outer
@@ -369,12 +350,6 @@ def adjust_frequency(ws: _EigenWorkspace, grid: FrequencyGrid, index: int,
     return float(10.0**current_log), status, current_lam
 
 
-def _volume_pair(ws: _EigenWorkspace, ref_grid: FrequencyGrid):
-    logv = ellipsoid_log_volume(ws.fim)
-    logv_ref = ellipsoid_log_volume(fisher(ws.theta, ref_grid, ws.err))
-    return logv, logv_ref
-
-
 def run_design(
     spectrum: Spectrum,
     theta_true_for_simulation: ParameterVector,
@@ -404,10 +379,20 @@ def run_design(
     """
     rng = np.random.default_rng(seed)
 
+    def row(iteration, status, index, f_before, f_after, lam_before, lam_after):
+        """The trace row of the current workspace and spectrum."""
+        logv = ellipsoid_log_volume(ws.fim)
+        logv_ref = ellipsoid_log_volume(fisher(ws.theta, reference_grid, err))
+        return AdjustmentStep(
+            iteration, status, index, f_before, f_after, lam_before, lam_after,
+            logv, logv_ref, math.exp(logv - logv_ref),
+            total_time(spectrum.grid, cfg.n_p), ws.theta, spectrum.grid,
+        )
+
     theta_hat = fit_wcnls(spectrum, initialize(spectrum)).theta
     ws = _EigenWorkspace(theta_hat, spectrum.grid, err)
     try:
-        logv, logv_ref = _volume_pair(ws, reference_grid)
+        steps = [row(0, "initial", None, None, None, ws.lambda_min, ws.lambda_min)]
     except SingularInformationError as exc:
         # No trace row exists yet, so there is no trace to end: say which
         # fit collapsed and keep the diagnostics.
@@ -416,23 +401,6 @@ def run_design(
             lambda_min=exc.lambda_min,
             condition_number=exc.condition_number,
         ) from exc
-    steps = [
-        AdjustmentStep(
-            iteration=0,
-            status="initial",
-            index=None,
-            f_before_hz=None,
-            f_after_hz=None,
-            lambda_min_before=ws.lambda_min,
-            lambda_min_after=ws.lambda_min,
-            log_volume=logv,
-            log_volume_ref=logv_ref,
-            normalized_volume=math.exp(logv - logv_ref),
-            t_tot_s=total_time(spectrum.grid, cfg.n_p),
-            theta=theta_hat,
-            grid=spectrum.grid,
-        )
-    ]
     terminated = "max_iterations"
 
     for iteration in range(1, cfg.max_iterations + 1):
@@ -464,26 +432,10 @@ def run_design(
         # A refit can collapse an arc (R -> 0, Q -> inf) and leave the
         # information matrix singular; the trace ends there like a failed fit.
         try:
-            logv, logv_ref = _volume_pair(ws, reference_grid)
+            steps.append(row(iteration, status, index, float(f_old), float(f_new),
+                             lam_before, lam_after))
         except SingularInformationError as exc:
             terminated = f"singular_information: {exc}"
             break
-        steps.append(
-            AdjustmentStep(
-                iteration=iteration,
-                status=status,
-                index=index,
-                f_before_hz=float(f_old),
-                f_after_hz=float(f_new),
-                lambda_min_before=lam_before,
-                lambda_min_after=lam_after,
-                log_volume=logv,
-                log_volume_ref=logv_ref,
-                normalized_volume=math.exp(logv - logv_ref),
-                t_tot_s=total_time(spectrum.grid, cfg.n_p),
-                theta=theta_hat,
-                grid=spectrum.grid,
-            )
-        )
 
     return AdjustmentTrace(steps=tuple(steps), terminated=terminated)

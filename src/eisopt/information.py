@@ -101,10 +101,9 @@ def fisher(theta: ParameterVector, grid, err: ErrorStructure) -> FisherMatrix:
     """Information matrix at ``theta`` for the given frequency set."""
     parts = fisher_contributions(theta, grid, err)
     # np.sum reduces pairwise, keeping the result independent of point
-    # ordering to well below the tolerances used downstream.
-    matrix = np.sum(parts, axis=0)
-    matrix = 0.5 * (matrix + matrix.T)
-    return FisherMatrix(matrix, theta)
+    # ordering to well below the tolerances used downstream; FisherMatrix
+    # symmetrizes the sum.
+    return FisherMatrix(np.sum(parts, axis=0), theta)
 
 
 def _unit_scale(theta: ParameterVector) -> np.ndarray:

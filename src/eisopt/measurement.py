@@ -1,4 +1,4 @@
-"""Measurement noise model, synthetic spectrum generation and spectrum I/O.
+"""Noise model, synthetic spectra, spectrum I/O and the shared file writers.
 
 The instrument error is specified as a maximum relative magnitude error and
 a maximum absolute phase error.  Those maxima are mapped to Gaussian
@@ -216,12 +216,30 @@ def save_spectrum(spectrum: Spectrum, sink) -> None:
         return
     path = str(sink)
     if path.endswith(".json"):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(_to_json_dict(spectrum), fh, indent=2)
-            fh.write("\n")
+        write_json(path, _to_json_dict(spectrum))
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             _write_csv(spectrum, fh)
+
+
+def write_json(path, payload: dict) -> None:
+    """Write ``payload`` as indented JSON with a final newline; NumPy
+    scalars are written as floats.  Every JSON file eisopt writes goes
+    through here."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, default=float)
+        fh.write("\n")
+
+
+def write_table(fh, header: dict, columns, rows) -> None:
+    """Write ``# key=value`` lines for ``header``, then a CSV table of
+    ``columns`` and ``rows``: the layout :func:`load_spectrum` reads.
+    Every CSV file eisopt writes goes through here."""
+    for key, value in header.items():
+        fh.write(f"# {key}={value}\n")
+    writer = csv.writer(fh)
+    writer.writerow(columns)
+    writer.writerows(rows)
 
 
 def load_spectrum(source) -> Spectrum:
@@ -245,27 +263,20 @@ def load_spectrum(source) -> Spectrum:
 
 
 def _write_csv(spectrum: Spectrum, fh) -> None:
-    for key in ("source", "seed", "noiseless", "config_hash", "version"):
-        if key in spectrum.provenance:
-            fh.write(f"# {key}={spectrum.provenance[key]}\n")
-    writer = csv.writer(fh)
-    writer.writerow(CSV_COLUMNS)
-    for f, mag, phase, smag, sphase in zip(
-        spectrum.grid.frequencies,
-        spectrum.mag_ohm,
-        spectrum.phase_rad,
-        spectrum.sigma_mag_ohm,
-        spectrum.sigma_phase_rad,
-    ):
-        writer.writerow(
-            [
-                repr(f),
-                repr(float(mag)),
-                repr(math.degrees(phase)),
-                repr(float(smag)),
-                repr(math.degrees(sphase)),
-            ]
+    header = {
+        key: spectrum.provenance[key]
+        for key in ("source", "seed", "noiseless", "config_hash", "version")
+        if key in spectrum.provenance
+    }
+    rows = (
+        [repr(f), repr(float(mag)), repr(math.degrees(phase)), repr(float(smag)),
+         repr(math.degrees(sphase))]
+        for f, mag, phase, smag, sphase in zip(
+            spectrum.grid.frequencies, spectrum.mag_ohm, spectrum.phase_rad,
+            spectrum.sigma_mag_ohm, spectrum.sigma_phase_rad,
         )
+    )
+    write_table(fh, header, CSV_COLUMNS, rows)
 
 
 def _read_csv(fh, origin: str) -> Spectrum:

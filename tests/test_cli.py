@@ -404,6 +404,39 @@ def test_bad_design_value_is_usage_error(tmp_path, capsys, case):
     assert case.split("-")[0] in capsys.readouterr().err
 
 
+# Top-level and grid/error numbers of the wrong JSON type: a count read
+# through int() or a number through float() would run silently (or, for a
+# bool error bound, fail as a numerical error), so each must exit 2 naming
+# the field.  A JSON integer where a float is expected stays valid.
+_CONFIG_VALUES = {
+    "n_p-true": ({"n_p": True}, "n_p"),
+    "n_p-fraction": ({"n_p": 5.7}, "n_p"),
+    "grid-ppd-fraction": ({"grid": {"ppd": 7.9}}, "grid.ppd"),
+    "reduction-ppd-fraction": (
+        {"grid": {"reductions": [{"threshold_hz": 0.1, "ppd": 7.5}]}},
+        "grid.reductions[0].ppd",
+    ),
+    "seed-fraction": ({"seed": 1.9}, "seed"),
+    "f_start-string": ({"grid": {"f_start_hz": "1e4"}}, "grid.f_start_hz"),
+    "rel_mag_max-true": ({"error": {"rel_mag_max": True}}, "error.rel_mag_max"),
+    "f_start-integer": ({"grid": {"f_start_hz": 10000}}, None),
+}
+
+
+@pytest.mark.parametrize("case", _CONFIG_VALUES)
+def test_config_value_of_wrong_json_type_is_usage_error(tmp_path, capsys, case):
+    config, field = _CONFIG_VALUES[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(["design", "--output-dir", str(tmp_path), "--config", str(cfg),
+               "--max-iterations", "0"])
+    if field is None:
+        assert rc == 0
+    else:
+        assert rc == 2
+        assert f"config value {field} must be" in capsys.readouterr().err
+
+
 def test_singular_information_is_numerical_error(tmp_path):
     # two-point band: eleven parameters cannot be bounded by four data rows
     rc = main(
@@ -453,6 +486,23 @@ def test_flag_overrides_config_file(tmp_path):
         (tmp_path / "f" / "spectrum.csv.provenance.json").read_text()
     )
     assert prov["provenance"]["seed"] == 7
+
+
+def test_every_common_flag_sets_its_config_key(tmp_path):
+    rc = main(["synth", "--output-dir", str(tmp_path), "--fixture", "state_b",
+               "--seed", "4", "--f-start", "1000", "--f-end", "0.1",
+               "--grid-ppd", "8", "--n-p", "3"])
+    assert rc == 0
+    cfg = json.loads((tmp_path / "spectrum.csv.provenance.json").read_text())["config"]
+    assert cfg["fixture"] == "state_b"
+    assert cfg["seed"] == 4
+    assert cfg["grid"]["f_start_hz"] == 1000.0
+    assert cfg["grid"]["f_end_hz"] == 0.1
+    assert cfg["grid"]["ppd"] == 8
+    assert cfg["n_p"] == 3
+    assert cfg["output_dir"] == str(tmp_path)
+    # 1000 Hz to 0.1 Hz at 8 points per decade, both ends included
+    assert load_spectrum(tmp_path / "spectrum.csv").n == 33
 
 
 def test_flags_of_one_run_do_not_carry_into_the_next(tmp_path):
