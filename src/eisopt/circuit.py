@@ -74,9 +74,6 @@ class ParameterVector:
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, float(getattr(self, f.name)))
-        self.validate()
-
-    def validate(self) -> None:
         positive = {
             "R_s": self.r_s,
             "Q_HF": self.q_hf,
@@ -181,7 +178,6 @@ def zarc_impedance(r: float, q: float, phi: float, omega):
 
 def ecm_impedance(theta: ParameterVector, omega):
     """Total impedance of the series chain at angular frequency omega (rad/s)."""
-    theta.validate()
     w = _check_omega(omega)
     z, _ = _impedance_and_gradient(theta.to_array(), np.atleast_1d(w))
     return complex(z[0]) if np.isscalar(omega) else z
@@ -236,7 +232,6 @@ def _polar_sensitivities(z: np.ndarray, dz: np.ndarray):
 
 def model_polar(theta: ParameterVector, frequencies_hz) -> tuple:
     """Magnitude (ohm) and phase (rad) of the model at the given Hz values."""
-    theta.validate()
     f = np.asarray(frequencies_hz, dtype=float)
     z, _ = _impedance_and_gradient(theta.to_array(), 2.0 * np.pi * f)
     return np.abs(z), np.angle(z)
@@ -256,7 +251,6 @@ def jacobian(theta: ParameterVector, grid) -> np.ndarray:
         First n rows are d|Z_i|/dtheta_k, last n rows d(arg Z_i)/dtheta_k,
         in canonical parameter order.
     """
-    theta.validate()
     f = np.asarray(getattr(grid, "frequencies", grid), dtype=float)
     if f.size == 0:
         raise DomainError("frequency grid must be nonempty")

@@ -10,14 +10,21 @@ report      write the uncertainty report (CRLB, eigenvalues, volume) for a grid
 
 Every command resolves an experiment configuration from defaults, an
 optional JSON config file (``--config``) and command-line flag overrides,
-in that order.  The resolved configuration is hashed so each output file
-carries a provenance header (config hash, seed, tool version) that fully
-identifies how it was produced; a fixed config and seed reproduce every
-data row byte for byte.
+in that order.  The config's ``grid`` is the dense reference sweep
+(``f_start_hz``, ``f_end_hz``, ``ppd``): ``synth`` spaces it with
+``log_spaced``, the other commands with ``log_spaced_inclusive``.  Only a
+command's own flags thin it (``--thresholds``, ``--threshold``,
+``--ppd-list``, ``--reduce-ppd``), so every ratio and volume is against
+the unthinned sweep.  The resolved configuration is hashed so each output
+file carries a provenance header (config hash, seed, tool version) that
+fully identifies how it was produced; a fixed config and seed reproduce
+every data row byte for byte.
 
 Exit codes: 0 success, 1 numerical failure (fit divergence, singular
 information matrix, or a fit that did not converge, whose result file is
-still written), 2 invalid input (bad config, malformed files).
+still written), 2 invalid input (malformed files, or a bad config: a
+section that is not an object, an unknown key in any section, or a value
+of the wrong type).
 """
 
 from __future__ import annotations
@@ -61,41 +68,29 @@ ENV_OUTPUT_DIR = "EISOPT_OUTPUT_DIR"
 
 _DEFAULT_CONFIG = {
     "fixture": "state_a",
-    "grid": {
-        "f_start_hz": 1.0e4,
-        "f_end_hz": 0.01,
-        "ppd": 10,
-        "family": None,
-        "reductions": [],
-    },
-    "error": {
-        "rel_mag_max": 0.01,
-        "abs_phase_max_deg": 1.0,
-        "sigma_convention": 3.0,
-    },
+    # the dense reference sweep, which only a command's own flags thin
+    "grid": {"f_start_hz": 1.0e4, "f_end_hz": 0.01, "ppd": 10},
+    "error": dataclasses.asdict(ErrorStructure()),
     "n_p": 5,
     "seed": 0,
     "design": {},
     "output_dir": None,
 }
 
-# The design section sets every DesignConfig field but n_p, which is the
-# experiment's top-level setting: the loop's sweep times and the baseline's
-# must count the same periods per point.
-_DESIGN_KEYS = {f.name for f in dataclasses.fields(DesignConfig)} - {"n_p"}
+# The keys each section may set.  The design section sets every
+# DesignConfig field but n_p, which is the experiment's top-level setting:
+# the loop's sweep times and the baseline's must count the same periods.
+_SECTION_KEYS = {
+    "grid": set(_DEFAULT_CONFIG["grid"]),
+    "error": set(_DEFAULT_CONFIG["error"]),
+    "design": {f.name for f in dataclasses.fields(DesignConfig)} - {"n_p"},
+}
+
+# The JSON types a value may take, by the type of its default.
+_KINDS = {int: (int, "an integer"), float: ((int, float), "a number")}
 
 # The columns of the normalized-CRLB tables of crlb-sweep and report.
 _CRLB_COLUMNS = ("parameter", "normalized_crlb", "ppd", "threshold_hz")
-
-
-def _deep_merge(base: dict, override: dict) -> dict:
-    merged = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _deep_merge(merged[key], value)
-        else:
-            merged[key] = value
-    return merged
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -108,48 +103,49 @@ def _load_config_file(path: str | None) -> dict:
             raise DomainError(f"config file {path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise DomainError(f"config file {path}: top level must be an object")
-    unknown = set(data) - set(_DEFAULT_CONFIG)
-    if unknown:
-        raise DomainError(
-            f"config file {path}: unknown fields {sorted(unknown)}; "
-            f"known fields are {sorted(_DEFAULT_CONFIG)}"
-        )
     return data
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults <- config file <- command-line flags, deterministically.
+    """Defaults <- config file <- command-line flags, each value checked
+    as it is set.
 
     Each flag's ``dest`` is the config key it sets ("seed", "grid.ppd",
     "design.max_iterations"); a flag left out is None and sets nothing.
+    ``grid``, ``error`` and ``design`` must be objects of known keys, and
+    a value whose default is a count or a number must be a JSON integer or
+    number, never true or false, so 5.7, true or "1e4" is named instead of
+    read as 5, 1 or 1e4.  DesignConfig checks the values of its section.
     """
-    cfg = _deep_merge(
-        copy.deepcopy(_DEFAULT_CONFIG), _load_config_file(getattr(args, "config", None))
-    )
+    updates = []
+    for key, value in _load_config_file(args.config).items():
+        if key not in _SECTION_KEYS:
+            updates.append(("", key, value))
+        elif isinstance(value, dict):
+            updates += [(key, name, v) for name, v in value.items()]
+        else:
+            raise DomainError(f"config value {key} must be an object, got {value!r}")
     for key, value in vars(args).items():
         section, _, name = key.rpartition(".")
         if value is not None and (section or name) in _DEFAULT_CONFIG:
-            (cfg[section] if section else cfg)[name] = value
-    _check_types(cfg)
-    return cfg
+            updates.append((section, name, value))
 
-
-def _check_types(cfg: dict) -> None:
-    """Name a config number of the wrong JSON type instead of reading 5.7
-    as 5, true as 1 or "1e4" as 1e4.  DesignConfig checks the design section."""
-    grid, err = cfg["grid"], cfg["error"]
-    counts = {"seed": cfg["seed"], "n_p": cfg["n_p"], "grid.ppd": grid["ppd"]}
-    numbers = {f"grid.{k}": grid[k] for k in ("f_start_hz", "f_end_hz")}
-    for f in dataclasses.fields(ErrorStructure):
-        numbers[f"error.{f.name}"] = err[f.name]
-    for k, red in enumerate(grid["reductions"]):
-        counts[f"grid.reductions[{k}].ppd"] = red.get("ppd")
-        numbers[f"grid.reductions[{k}].threshold_hz"] = red.get("threshold_hz")
-    for kinds, kind, values in ((int, "an integer", counts),
-                                ((int, float), "a number", numbers)):
-        for key, value in values.items():
+    cfg = copy.deepcopy(_DEFAULT_CONFIG)
+    for section, name, value in updates:
+        field = f"{section}.{name}" if section else name
+        defaults = _DEFAULT_CONFIG[section] if section else _DEFAULT_CONFIG
+        known = _SECTION_KEYS.get(section, defaults)
+        if name not in known:
+            raise DomainError(
+                f"unknown config field {field}; known fields are {sorted(known)}"
+            )
+        default_type = type(defaults.get(name))
+        if default_type in _KINDS:
+            kinds, kind = _KINDS[default_type]
             if isinstance(value, bool) or not isinstance(value, kinds):
-                raise DomainError(f"config value {key} must be {kind}, got {value!r}")
+                raise DomainError(f"config value {field} must be {kind}, got {value!r}")
+        (cfg[section] if section else cfg)[name] = value
+    return cfg
 
 
 def _config_hash(cfg: dict) -> str:
@@ -172,34 +168,14 @@ def _theta_from_config(cfg: dict) -> ParameterVector:
 
 def _error_from_config(cfg: dict) -> ErrorStructure:
     # float(): a JSON integer such as 3 enters the spectrum's provenance as 3.0
-    names = [f.name for f in dataclasses.fields(ErrorStructure)]
-    return ErrorStructure(**{name: float(cfg["error"][name]) for name in names})
+    return ErrorStructure(**{name: float(v) for name, v in cfg["error"].items()})
 
 
-def _grid_from_config(cfg: dict, default_family: str) -> FrequencyGrid:
+def _grid_from_config(cfg: dict, spacing) -> FrequencyGrid:
+    """The dense reference sweep, spaced by ``log_spaced`` or
+    ``log_spaced_inclusive``."""
     g = cfg["grid"]
-    family = g.get("family") or default_family
-    if family == "formula":
-        grid = log_spaced(g["f_start_hz"], g["f_end_hz"], g["ppd"])
-    elif family == "inclusive":
-        grid = log_spaced_inclusive(g["f_start_hz"], g["f_end_hz"], g["ppd"])
-    else:
-        raise DomainError(
-            f"unknown grid family {family!r}; use 'formula' or 'inclusive'"
-        )
-    for red in g.get("reductions", []):
-        grid = reduce_ppd(grid, red["threshold_hz"], red["ppd"])
-    return grid
-
-
-def _design_from_config(cfg: dict) -> DesignConfig:
-    unknown = set(cfg["design"]) - _DESIGN_KEYS
-    if unknown:
-        raise DomainError(
-            f"unknown design config fields {sorted(unknown)}; "
-            f"known fields are {sorted(_DESIGN_KEYS)}"
-        )
-    return DesignConfig(**cfg["design"], n_p=cfg["n_p"])
+    return spacing(g["f_start_hz"], g["f_end_hz"], g["ppd"])
 
 
 def _output_dir(cfg: dict) -> Path:
@@ -234,7 +210,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     theta = _theta_from_config(cfg)
     err = _error_from_config(cfg)
-    grid = _grid_from_config(cfg, default_family="formula")
+    grid = _grid_from_config(cfg, log_spaced)
     prov = _provenance(cfg)
     out = _output_dir(cfg)
 
@@ -273,7 +249,7 @@ def cmd_crlb_sweep(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     theta = _theta_from_config(cfg)
     err = _error_from_config(cfg)
-    baseline = _grid_from_config(cfg, default_family="inclusive")
+    baseline = _grid_from_config(cfg, log_spaced_inclusive)
     prov = _provenance(cfg)
     out = _output_dir(cfg)
 
@@ -301,8 +277,8 @@ def cmd_design(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     theta = _theta_from_config(cfg)
     err = _error_from_config(cfg)
-    baseline = _grid_from_config(cfg, default_family="inclusive")
-    design_cfg = _design_from_config(cfg)
+    baseline = _grid_from_config(cfg, log_spaced_inclusive)
+    design_cfg = DesignConfig(**cfg["design"], n_p=cfg["n_p"])
     prov = _provenance(cfg)
     out = _output_dir(cfg)
 
@@ -349,7 +325,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     theta = _theta_from_config(cfg)
     err = _error_from_config(cfg)
-    baseline = _grid_from_config(cfg, default_family="inclusive")
+    baseline = _grid_from_config(cfg, log_spaced_inclusive)
     prov = _provenance(cfg)
     out = _output_dir(cfg)
 

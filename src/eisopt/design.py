@@ -29,7 +29,7 @@ import numpy as np
 from .circuit import ParameterVector
 from .exceptions import DesignError, DomainError, FitError, SingularInformationError
 from .estimation import fit_wcnls, initialize
-from .frequency import FrequencyGrid, total_time
+from .frequency import FrequencyGrid, _count, total_time
 from .information import (
     FisherMatrix,
     _unit_scale,
@@ -68,9 +68,7 @@ class DesignConfig:
         # Values may come straight from a JSON config file, so the types are
         # checked too: "5" or "false" must not pass as a count or a flag.
         for name, low in (("max_iterations", 0), ("n_p", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < low:
-                raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+            _count(name, getattr(self, name), low)
         for name in ("min_frequency_hz", "time_budget_s"):
             value = getattr(self, name)
             if value is not None and not (
@@ -316,8 +314,6 @@ def adjust_frequency(ws: _EigenWorkspace, grid: FrequencyGrid, index: int,
         while step >= CLIMB_STOP_DECADES:
             steps.append(step)
             step *= CLIMB_SHRINK
-        if not steps:
-            return None
         targets = np.array([origin + sign * s for s in steps for sign in signs])
         logs = np.minimum(np.maximum(targets, log_lo), log_hi)
         probes = [10.0**x for x in logs.tolist()]

@@ -158,7 +158,6 @@ def fit_wcnls(spectrum: Spectrum, theta_start: ParameterVector) -> FitResult:
     admissible step of any length decreases the objective and the usual
     convergence measures have not triggered.
     """
-    theta_start.validate()
     x = _project(_to_internal(theta_start.to_array()))
     r, jac = _weighted_residuals_jacobian(spectrum, _from_internal(x), with_jac=True)
     obj = float(r @ r)

@@ -23,6 +23,14 @@ from .exceptions import DomainError, SpectrumFormatError
 MERGE_RTOL = 1e-9
 
 
+def _count(name: str, value, low: int = 1) -> int:
+    """``value`` as an int, if it is a count: a Python or NumPy integer, not
+    a bool, at least ``low``.  A fraction or a bool is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PpdReduction:
     """Record of one density reduction: grid points at or below
@@ -56,8 +64,8 @@ class FrequencyGrid:
             raise DomainError("frequencies must be positive")
         if not np.all(np.diff(arr) < 0.0):
             raise DomainError("frequencies must be strictly decreasing")
-        if self.ppd_default is not None and self.ppd_default < 1:
-            raise DomainError("ppd_default must be >= 1")
+        if self.ppd_default is not None:
+            object.__setattr__(self, "ppd_default", _count("ppd_default", self.ppd_default))
 
     @property
     def n(self) -> int:
@@ -91,14 +99,21 @@ class FrequencyGrid:
         try:
             freqs = tuple(float(f) for f in data["frequencies_hz"])
             reductions = tuple(
-                PpdReduction(float(r["threshold_hz"]), int(r["ppd"]))
+                PpdReduction(float(r["threshold_hz"]), _count("reduction ppd", r["ppd"]))
                 for r in data.get("reductions", [])
             )
-            ppd = data.get("ppd_default")
-            ppd = None if ppd is None else int(ppd)
         except (KeyError, TypeError, ValueError) as exc:
             raise SpectrumFormatError(f"bad grid JSON: {exc}") from exc
-        return cls(freqs, ppd, reductions)
+        return cls(freqs, data.get("ppd_default"), reductions)
+
+
+def _sweep_density(f_start: float, f_end: float, ppd) -> int:
+    """Check a sweep's band and return its density as an int."""
+    if not (f_start > f_end > 0.0):
+        raise DomainError(
+            f"need f_start > f_end > 0, got f_start={f_start}, f_end={f_end}"
+        )
+    return _count("ppd", ppd)
 
 
 def log_spaced(f_start: float, f_end: float, ppd: int) -> FrequencyGrid:
@@ -108,13 +123,7 @@ def log_spaced(f_start: float, f_end: float, ppd: int) -> FrequencyGrid:
     is floor(1.5 + ppd * (log10(f_start) - log10(f_end))), so integer-decade
     spans include both endpoints exactly.
     """
-    if not (f_start > f_end > 0.0):
-        raise DomainError(
-            f"need f_start > f_end > 0, got f_start={f_start}, f_end={f_end}"
-        )
-    ppd = int(ppd)
-    if ppd < 1:
-        raise DomainError("ppd must be >= 1")
+    ppd = _sweep_density(f_start, f_end, ppd)
     span = math.log10(f_start) - math.log10(f_end)
     n = math.floor(1.5 + ppd * span)
     k = np.arange(n)
@@ -133,13 +142,7 @@ def log_spaced_inclusive(f_start: float, f_end: float, ppd: int) -> FrequencyGri
     from this constructor are the consistent baseline for density-reduction
     comparisons (per-parameter variance ratios, volume references).
     """
-    if not (f_start > f_end > 0.0):
-        raise DomainError(
-            f"need f_start > f_end > 0, got f_start={f_start}, f_end={f_end}"
-        )
-    ppd = int(ppd)
-    if ppd < 1:
-        raise DomainError("ppd must be >= 1")
+    ppd = _sweep_density(f_start, f_end, ppd)
     freqs = _inclusive_frequencies(f_start, f_end, ppd)
     return FrequencyGrid(tuple(freqs), ppd_default=ppd)
 
@@ -164,8 +167,8 @@ def reduce_ppd(grid: FrequencyGrid, f_threshold: float, ppd_low: int) -> Frequen
     """
     if grid.ppd_default is None:
         raise DomainError("grid has no recorded default density; cannot reduce")
-    ppd_low = int(ppd_low)
-    if not 1 <= ppd_low <= grid.ppd_default:
+    ppd_low = _count("ppd_low", ppd_low)
+    if ppd_low > grid.ppd_default:
         raise DomainError(
             f"ppd_low must be in [1, {grid.ppd_default}], got {ppd_low}"
         )
@@ -204,8 +207,6 @@ def _merge_decreasing(values):
 
 def total_time(grid: FrequencyGrid, n_p: int = 5) -> float:
     """Total sweep duration in seconds: n_p periods at every frequency."""
-    n_p = int(n_p)
-    if n_p < 1:
-        raise DomainError("n_p must be a positive integer")
+    n_p = _count("n_p", n_p)
     return float(n_p * np.sum(1.0 / grid.as_array()))
 

@@ -86,7 +86,6 @@ def fisher_contributions(theta: ParameterVector, grid, err: ErrorStructure) -> n
     The adjustment loop uses these to re-evaluate candidate moves by
     swapping a single summand instead of rebuilding the whole matrix.
     """
-    theta.validate()
     freqs = np.atleast_1d(
         np.asarray(getattr(grid, "frequencies", grid), dtype=float)
     )

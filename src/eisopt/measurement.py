@@ -54,15 +54,13 @@ class ErrorStructure:
 
 
 def sigma_at(err: ErrorStructure, mag_ohm):
-    """Standard deviations (sigma_mag in ohm, sigma_phase in rad) at a
-    noiseless magnitude.  Magnitude noise is proportional, phase noise flat."""
+    """Standard deviations (sigma_mag in ohm, sigma_phase in rad) at an array
+    of noiseless magnitudes.  Magnitude noise is proportional, phase noise flat."""
     mag = np.asarray(mag_ohm, dtype=float)
     if not np.all(mag > 0.0):
         raise DomainError("magnitude must be positive")
     sigma_mag = err.sigma_rel_mag * mag
     sigma_phase = np.full_like(mag, err.sigma_phase_rad)
-    if np.isscalar(mag_ohm):
-        return float(sigma_mag), float(sigma_phase)
     return sigma_mag, sigma_phase
 
 
@@ -205,16 +203,13 @@ def measure_at(
     return float(mag), float(phase), float(sigma_mag[0]), float(sigma_phase[0])
 
 
-def save_spectrum(spectrum: Spectrum, sink) -> None:
-    """Write a spectrum to ``sink`` (path or file-like).
+def save_spectrum(spectrum: Spectrum, path) -> None:
+    """Write a spectrum to ``path``.
 
     Paths ending in .json get the JSON form with a provenance block;
     everything else gets CSV with '#'-prefixed provenance header lines.
     """
-    if hasattr(sink, "write"):
-        _write_csv(spectrum, sink)
-        return
-    path = str(sink)
+    path = str(path)
     if path.endswith(".json"):
         write_json(path, _to_json_dict(spectrum))
     else:
@@ -242,15 +237,13 @@ def write_table(fh, header: dict, columns, rows) -> None:
     writer.writerows(rows)
 
 
-def load_spectrum(source) -> Spectrum:
+def load_spectrum(path) -> Spectrum:
     """Read a spectrum written by :func:`save_spectrum`.
 
     Raises :class:`SpectrumFormatError` (with a line number where possible)
     for malformed rows, missing columns, or non-decreasing frequencies.
     """
-    if hasattr(source, "read"):
-        return _read_csv(source, origin="<stream>")
-    path = str(source)
+    path = str(path)
     if path.endswith(".json"):
         with open(path, encoding="utf-8") as fh:
             try:

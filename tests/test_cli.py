@@ -302,8 +302,18 @@ def _corrupt_threshold(data):
     data["grid"]["reductions"][0]["threshold_hz"] = "0.1 Hz"
 
 
+def _fractional_ppd_default(data):
+    data["grid"]["ppd_default"] = 10.6
+
+
+def _fractional_reduction_ppd(data):
+    data["grid"]["reductions"][0]["ppd"] = 7.9
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_corrupt_points, _corrupt_ppd_default, _corrupt_threshold]
+    "corrupt",
+    [_corrupt_points, _corrupt_ppd_default, _corrupt_threshold,
+     _fractional_ppd_default, _fractional_reduction_ppd],
 )
 def test_malformed_number_in_spectrum_json_is_format_error(tmp_path, corrupt):
     grid = reduce_ppd(log_spaced_inclusive(1e4, 0.01, 10), 0.1, 7)
@@ -412,10 +422,6 @@ _CONFIG_VALUES = {
     "n_p-true": ({"n_p": True}, "n_p"),
     "n_p-fraction": ({"n_p": 5.7}, "n_p"),
     "grid-ppd-fraction": ({"grid": {"ppd": 7.9}}, "grid.ppd"),
-    "reduction-ppd-fraction": (
-        {"grid": {"reductions": [{"threshold_hz": 0.1, "ppd": 7.5}]}},
-        "grid.reductions[0].ppd",
-    ),
     "seed-fraction": ({"seed": 1.9}, "seed"),
     "f_start-string": ({"grid": {"f_start_hz": "1e4"}}, "grid.f_start_hz"),
     "rel_mag_max-true": ({"error": {"rel_mag_max": True}}, "error.rel_mag_max"),
@@ -435,6 +441,35 @@ def test_config_value_of_wrong_json_type_is_usage_error(tmp_path, capsys, case):
     else:
         assert rc == 2
         assert f"config value {field} must be" in capsys.readouterr().err
+
+
+# Sections that are not objects of known keys must exit 2 and name the
+# section or key, for every command: a misspelt key must not leave its
+# default in force, and grid has no "reductions" or "family", since only a
+# command's own flags thin the dense sweep.
+_BAD_SECTIONS = {
+    "grid-not-object": ({"grid": 5}, "config value grid must be an object"),
+    "design-not-object": ({"design": [1]}, "config value design must be an object"),
+    "grid-misspelt-key": ({"grid": {"f_strat_hz": 100}}, "config field grid.f_strat_hz"),
+    "error-unknown-key": ({"error": {"rel_mag": 0.1}}, "config field error.rel_mag"),
+    "grid-family": ({"grid": {"family": "formula"}}, "config field grid.family"),
+    "grid-reductions": ({"grid": {"reductions": [7]}}, "config field grid.reductions"),
+    "grid-reductions-ppd-fraction": (
+        {"grid": {"reductions": [{"threshold_hz": 0.1, "ppd": 7.5}]}},
+        "config field grid.reductions",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["synth", "design"])
+@pytest.mark.parametrize("case", _BAD_SECTIONS)
+def test_config_section_of_unknown_shape_is_usage_error(tmp_path, capsys, case, command):
+    config, message = _BAD_SECTIONS[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main([command, "--output-dir", str(tmp_path), "--config", str(cfg)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_singular_information_is_numerical_error(tmp_path):

@@ -15,6 +15,7 @@ from eisopt import (
     DesignError,
     DomainError,
     ErrorStructure,
+    FitError,
     FrequencyGrid,
     STATE_A,
     SingularInformationError,
@@ -509,6 +510,42 @@ def test_singular_refit_ends_the_trace(monkeypatch):
     trace = run_design(SPECTRUM, STATE_A, CFG, err=ERR, reference_grid=BASELINE, seed=42)
     assert len(calls) == 2
     assert trace.terminated.startswith("singular_information: ")
+    assert len(trace.steps) == 1
+    assert trace.final.status == "initial"
+
+
+def test_loop_ends_when_every_candidate_stalls(monkeypatch):
+    asked = []
+
+    def stalling_climb(ws, grid, index, cfg):
+        asked.append(index)
+        return float(ws.freqs[index]), "stalled", ws.lambda_min
+
+    monkeypatch.setattr(eisopt.design, "adjust_frequency", stalling_climb)
+    trace = run_design(SPECTRUM, STATE_A, CFG, err=ERR, reference_grid=BASELINE, seed=42)
+    # the loop fell through the whole ranking, each free point once
+    assert sorted(asked) == list(range(1, len(GRID) - 1))
+    assert trace.terminated == "stalled"
+    assert len(trace.steps) == 1
+    assert trace.final.status == "initial"
+
+
+def test_failed_refit_ends_the_trace(monkeypatch):
+    real_fit = eisopt.design.fit_wcnls
+    calls = []
+
+    def failing_refit(spectrum, theta_start):
+        calls.append(spectrum)
+        if len(calls) > 1:
+            raise FitError("damping exhausted")
+        return real_fit(spectrum, theta_start)
+
+    monkeypatch.setattr(eisopt.design, "fit_wcnls", failing_refit)
+    trace = run_design(SPECTRUM, STATE_A, CFG, err=ERR, reference_grid=BASELINE, seed=42)
+    assert len(calls) == 2
+    # the refit saw the moved point, and the trace ends before its row
+    assert calls[1].grid.frequencies != SPECTRUM.grid.frequencies
+    assert trace.terminated == "fit_error: damping exhausted"
     assert len(trace.steps) == 1
     assert trace.final.status == "initial"
 

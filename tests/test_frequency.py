@@ -134,6 +134,26 @@ def test_reduce_validates_inputs():
         reduce_ppd(grid, 0.1, 11)  # denser than the default
 
 
+def test_counts_are_integers_never_truncated():
+    grid = log_spaced_inclusive(1e4, 0.01, 10)
+    # each of these once read the count through int(): 7.9 as 7, True as 1
+    for call in (
+        lambda: log_spaced(1e4, 0.01, 7.9),
+        lambda: log_spaced_inclusive(1e4, 0.01, True),
+        lambda: total_time(grid, 5.7),
+        lambda: total_time(grid, False),
+        lambda: reduce_ppd(grid, 0.1, 7.5),
+        lambda: reduce_ppd(grid, 0.1, "7"),
+        lambda: FrequencyGrid(grid.frequencies, ppd_default=7.5),
+    ):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call()
+    # NumPy integers are counts, and grids record them as ints
+    reduced = reduce_ppd(log_spaced(1e4, 0.01, np.int64(10)), 0.1, np.int32(7))
+    assert type(reduced.ppd_default) is int and type(reduced.reductions[0].ppd) is int
+    assert total_time(grid, np.int64(5)) == total_time(grid, 5)
+
+
 def test_reductions_recorded_on_grid():
     grid = log_spaced_inclusive(1e4, 0.01, 10)
     reduced = reduce_ppd(grid, 0.1, 7)
