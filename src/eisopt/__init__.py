@@ -40,7 +40,6 @@ from .exceptions import (
 from .fixtures import FIXTURES, STATE_A, STATE_B, get_fixture
 from .frequency import (
     FrequencyGrid,
-    PpdReduction,
     log_spaced,
     log_spaced_inclusive,
     reduce_ppd,
@@ -50,7 +49,6 @@ from .information import (
     FisherMatrix,
     UncertaintyReport,
     crlb,
-    eigenvalues,
     ellipsoid_log_volume,
     fisher,
     fisher_contributions,
@@ -96,7 +94,6 @@ __all__ = [
     "STATE_B",
     "get_fixture",
     "FrequencyGrid",
-    "PpdReduction",
     "log_spaced",
     "log_spaced_inclusive",
     "reduce_ppd",
@@ -104,7 +101,6 @@ __all__ = [
     "FisherMatrix",
     "UncertaintyReport",
     "crlb",
-    "eigenvalues",
     "ellipsoid_log_volume",
     "fisher",
     "fisher_contributions",

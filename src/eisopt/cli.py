@@ -144,6 +144,10 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             kinds, kind = _KINDS[default_type]
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise DomainError(f"config value {field} must be {kind}, got {value!r}")
+        if field == "seed" and value < 0:
+            raise DomainError(f"config value seed must be >= 0, got {value!r}")
+        if field == "output_dir" and not isinstance(value, (str, type(None))):
+            raise DomainError(f"config value output_dir must be a string, got {value!r}")
         (cfg[section] if section else cfg)[name] = value
     return cfg
 
@@ -282,7 +286,6 @@ def cmd_design(args: argparse.Namespace) -> int:
     prov = _provenance(cfg)
     out = _output_dir(cfg)
 
-    threshold = float(args.threshold)
     ppds = _parse_list(args.ppd_list, "--ppd-list", int)
     t_base = total_time(baseline, cfg["n_p"])
     # The initial sweep uses the seed as `synth` does; the loop's
@@ -293,7 +296,7 @@ def cmd_design(args: argparse.Namespace) -> int:
 
     def rows():
         for ppd in ppds:
-            reduced = reduce_ppd(baseline, threshold, ppd)
+            reduced = reduce_ppd(baseline, args.threshold, ppd)
             spectrum = synthesize(theta, reduced, err, seed=seed)
             trace = run_design(
                 spectrum, theta, design_cfg, err=err, seed=remeasure_seed,
@@ -309,7 +312,7 @@ def cmd_design(args: argparse.Namespace) -> int:
                 f"ppd {ppd}: dV={delta_v:+.2f}% dt={delta_t:+.2f}% "
                 f"({final.iteration} iterations, {trace.terminated})"
             )
-            yield [ppd, repr(threshold), repr(delta_v), repr(delta_t),
+            yield [ppd, repr(args.threshold), repr(delta_v), repr(delta_t),
                    final.iteration, trace.terminated]
 
     summary_path = out / args.out
@@ -334,7 +337,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.reduce_ppd is not None:
         if args.threshold is None:
             raise DomainError("--reduce-ppd requires --threshold")
-        threshold, ppd = float(args.threshold), args.reduce_ppd
+        threshold, ppd = args.threshold, args.reduce_ppd
         grid = reduce_ppd(baseline, threshold, ppd)
 
     base_crlb = crlb(fisher(theta, baseline, err))
@@ -404,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_crlb_sweep)
 
     p = sub.add_parser("design", parents=[common], help="run the frequency-adjustment loop")
-    p.add_argument("--threshold", default="0.1", help="reduction threshold in Hz")
+    p.add_argument("--threshold", type=float, default=0.1, help="reduction threshold in Hz")
     p.add_argument("--ppd-list", default="7", help="comma-separated reduced densities")
     p.add_argument("--max-iterations", type=int, dest="design.max_iterations",
                    metavar="MAX_ITERATIONS", help="adjustment iteration budget")
@@ -420,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", parents=[common], help="uncertainty report for a grid")
     p.add_argument("--reduce-ppd", type=int, help="reduced density below --threshold")
-    p.add_argument("--threshold", help="reduction threshold in Hz")
+    p.add_argument("--threshold", type=float, help="reduction threshold in Hz")
     p.add_argument("--out", default="report.json", help="output file name")
     p.set_defaults(func=cmd_report)
     return parser

@@ -6,13 +6,14 @@ each point costs ``n_p`` excitation periods, low frequencies dominate the
 total measurement time; the lowest decade of a uniform grid eats roughly 90%
 of it.  The reduction operation thins the grid below a threshold frequency to
 buy time back, which is the starting point of the adjustment loop in
-:mod:`eisopt.design`.
+:mod:`eisopt.design`.  A grid is only its frequencies and the density it was
+generated at; the caller names what thinned it (a file name, a table column).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,31 +33,19 @@ def _count(name: str, value, low: int = 1) -> int:
 
 
 @dataclass(frozen=True)
-class PpdReduction:
-    """Record of one density reduction: grid points at or below
-    ``threshold_hz`` were regenerated at ``ppd`` points per decade."""
-
-    threshold_hz: float
-    ppd: int
-
-
-@dataclass(frozen=True)
 class FrequencyGrid:
     """Ordered measurement frequencies, strictly decreasing, in Hz.
 
     ``ppd_default`` is the density the grid was generated with (None for
-    grids loaded from bare frequency lists).  ``reductions`` records any
-    density reductions applied, newest last.
+    grids loaded from bare frequency lists); :func:`reduce_ppd` keeps it.
     """
 
     frequencies: tuple
     ppd_default: int | None = None
-    reductions: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         freqs = tuple(float(f) for f in self.frequencies)
         object.__setattr__(self, "frequencies", freqs)
-        object.__setattr__(self, "reductions", tuple(self.reductions))
         if len(freqs) < 2:
             raise DomainError("a frequency grid needs at least 2 points")
         arr = np.array(freqs)
@@ -89,22 +78,15 @@ class FrequencyGrid:
         return {
             "frequencies_hz": list(self.frequencies),
             "ppd_default": self.ppd_default,
-            "reductions": [
-                {"threshold_hz": r.threshold_hz, "ppd": r.ppd} for r in self.reductions
-            ],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FrequencyGrid":
         try:
             freqs = tuple(float(f) for f in data["frequencies_hz"])
-            reductions = tuple(
-                PpdReduction(float(r["threshold_hz"]), _count("reduction ppd", r["ppd"]))
-                for r in data.get("reductions", [])
-            )
         except (KeyError, TypeError, ValueError) as exc:
             raise SpectrumFormatError(f"bad grid JSON: {exc}") from exc
-        return cls(freqs, data.get("ppd_default"), reductions)
+        return cls(freqs, data.get("ppd_default"))
 
 
 def _sweep_density(f_start: float, f_end: float, ppd) -> int:
@@ -188,11 +170,7 @@ def reduce_ppd(grid: FrequencyGrid, f_threshold: float, ppd_low: int) -> Frequen
         low = list(_inclusive_frequencies(f_threshold, grid.f_end, ppd_low))
 
     merged = _merge_decreasing(upper + low)
-    return FrequencyGrid(
-        tuple(merged),
-        ppd_default=grid.ppd_default,
-        reductions=grid.reductions + (PpdReduction(float(f_threshold), ppd_low),),
-    )
+    return FrequencyGrid(tuple(merged), ppd_default=grid.ppd_default)
 
 
 def _merge_decreasing(values):

@@ -14,8 +14,8 @@ Raw-unit entries of F span roughly twenty orders of magnitude because the
 parameters range from milliohms to 1e7.  Every factorization here therefore
 runs on a similarity-scaled matrix D F D with D = diag(|theta|), which has
 condition numbers a plain Cholesky handles; results are mapped back to
-linear parameter units exactly.  Eigenvalues, which the adjustment loop
-tracks, are reported in the same scaled (log-parameter) coordinates.
+linear parameter units exactly.  :func:`uncertainty_report` takes the CRLB,
+log-volume and scaled (log-parameter) eigenvalues from one factorization.
 """
 
 from __future__ import annotations
@@ -109,11 +109,11 @@ def _unit_scale(theta: ParameterVector) -> np.ndarray:
     return np.abs(theta.to_array())
 
 
-def _scaled_matrix(fim: FisherMatrix, scale: np.ndarray) -> np.ndarray:
-    return fim.matrix * np.outer(scale, scale)
-
-
-def _require_pd(scaled: np.ndarray) -> np.ndarray:
+def _factor(fim: FisherMatrix):
+    """D = diag(|theta|) as a vector, D F D and its ascending eigenvalues,
+    once D F D passes the positive-definiteness gate."""
+    scale = _unit_scale(fim.theta)
+    scaled = fim.matrix * np.outer(scale, scale)
     eigvals = np.linalg.eigvalsh(scaled)
     lam_min, lam_max = eigvals[0], eigvals[-1]
     if not (lam_max > 0.0 and lam_min > PD_RTOL * lam_max):
@@ -124,7 +124,17 @@ def _require_pd(scaled: np.ndarray) -> np.ndarray:
             lambda_min=lam_min,
             condition_number=cond,
         )
-    return eigvals
+    return scale, scaled, eigvals
+
+
+def _crlb(scale: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+    cho = scipy.linalg.cho_factor(scaled, lower=True)
+    inv_scaled = scipy.linalg.cho_solve(cho, np.eye(N_PARAMETERS))
+    return scale**2 * np.diag(inv_scaled)
+
+
+def _log_volume(scale: np.ndarray, eigvals: np.ndarray) -> float:
+    return -0.5 * float(np.sum(np.log(eigvals)) - 2.0 * np.sum(np.log(scale)))
 
 
 def crlb(fim: FisherMatrix) -> np.ndarray:
@@ -134,19 +144,8 @@ def crlb(fim: FisherMatrix) -> np.ndarray:
     unit-scaled matrix; raw-unit eigenvalues would conflate the parameter
     scale disparity with genuine rank deficiency.
     """
-    scale = _unit_scale(fim.theta)
-    scaled = _scaled_matrix(fim, scale)
-    _require_pd(scaled)
-    cho = scipy.linalg.cho_factor(scaled, lower=True)
-    inv_scaled = scipy.linalg.cho_solve(cho, np.eye(N_PARAMETERS))
-    return scale**2 * np.diag(inv_scaled)
-
-
-def eigenvalues(fim: FisherMatrix) -> np.ndarray:
-    """Ascending eigenvalues of the unit-scaled information matrix: in
-    log-parameter coordinates they measure curvature against *relative*
-    parameter changes."""
-    return np.linalg.eigvalsh(_scaled_matrix(fim, _unit_scale(fim.theta)))
+    scale, scaled, _ = _factor(fim)
+    return _crlb(scale, scaled)
 
 
 def ellipsoid_log_volume(fim: FisherMatrix) -> float:
@@ -157,10 +156,8 @@ def ellipsoid_log_volume(fim: FisherMatrix) -> float:
     the unit-scaled eigenvalues to avoid overflow/underflow; the scaling
     correction is exact.
     """
-    scale = _unit_scale(fim.theta)
-    eigvals = _require_pd(_scaled_matrix(fim, scale))
-    log_det = float(np.sum(np.log(eigvals)) - 2.0 * np.sum(np.log(scale)))
-    return -0.5 * log_det
+    scale, _, eigvals = _factor(fim)
+    return _log_volume(scale, eigvals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,10 +192,11 @@ class UncertaintyReport:
 
 
 def uncertainty_report(fim: FisherMatrix) -> UncertaintyReport:
+    """CRLB, scaled eigenvalues and log-volume from one factorization."""
+    scale, scaled, eigvals = _factor(fim)
     return UncertaintyReport(
         theta=fim.theta,
-        crlb=crlb(fim),
-        eigvals=eigenvalues(fim),
-        log_volume=ellipsoid_log_volume(fim),
+        crlb=_crlb(scale, scaled),
+        eigvals=eigvals,
+        log_volume=_log_volume(scale, eigvals),
     )
-

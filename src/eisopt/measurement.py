@@ -131,9 +131,7 @@ class Spectrum:
         smag[index] = sigma_mag_ohm
         sphase[index] = sigma_phase_rad
         order = np.argsort(-freqs, kind="stable")
-        grid = FrequencyGrid(
-            tuple(freqs[order]), self.grid.ppd_default, self.grid.reductions
-        )
+        grid = FrequencyGrid(tuple(freqs[order]), self.grid.ppd_default)
         return Spectrum(
             grid, mag[order], phase[order], smag[order], sphase[order],
             dict(self.provenance),

@@ -1,7 +1,10 @@
 """Shared helpers for the test suite."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from eisopt import ParameterVector
 
@@ -28,6 +31,19 @@ def random_theta(rng: np.random.Generator) -> ParameterVector:
             rng.uniform(0.3, 0.9),             # phi_LF
         ]
     )
+
+
+# The edges of the exponent intervals that ParameterVector admits.
+EDGES = {"phi_hf": -1.0, "phi_1": 1.0, "phi_lf": 0.0}
+
+
+@st.composite
+def thetas(draw):
+    """Parameter sets drawn as random_theta draws them, some with one
+    exponent pinned to the edge of its interval."""
+    theta = random_theta(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    edge = draw(st.sampled_from((None,) + tuple(EDGES)))
+    return theta if edge is None else replace(theta, **{edge: EDGES[edge]})
 
 
 @pytest.fixture

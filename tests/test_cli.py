@@ -298,22 +298,13 @@ def _corrupt_ppd_default(data):
     data["grid"]["ppd_default"] = "ten"
 
 
-def _corrupt_threshold(data):
-    data["grid"]["reductions"][0]["threshold_hz"] = "0.1 Hz"
-
-
 def _fractional_ppd_default(data):
     data["grid"]["ppd_default"] = 10.6
 
 
-def _fractional_reduction_ppd(data):
-    data["grid"]["reductions"][0]["ppd"] = 7.9
-
-
 @pytest.mark.parametrize(
     "corrupt",
-    [_corrupt_points, _corrupt_ppd_default, _corrupt_threshold,
-     _fractional_ppd_default, _fractional_reduction_ppd],
+    [_corrupt_points, _corrupt_ppd_default, _fractional_ppd_default],
 )
 def test_malformed_number_in_spectrum_json_is_format_error(tmp_path, corrupt):
     grid = reduce_ppd(log_spaced_inclusive(1e4, 0.01, 10), 0.1, 7)
@@ -470,6 +461,49 @@ def test_config_section_of_unknown_shape_is_usage_error(tmp_path, capsys, case, 
     rc = main([command, "--output-dir", str(tmp_path), "--config", str(cfg)])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def _quick_run(command, tmp_path):
+    """A short run of each command; fit reads the spectrum that synth
+    writes to ``tmp_path`` by default."""
+    extra = {"fit": [str(tmp_path / "spectrum.csv")], "design": ["--max-iterations", "0"]}
+    return [command, *extra.get(command, [])]
+
+
+_COMMANDS = ["synth", "fit", "crlb-sweep", "design", "report"]
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, monkeypatch, command, source):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--output-dir", str(tmp_path)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    seed = ["--seed", "-1"] if source == "flag" else ["--config", str(cfg)]
+    rc = main(_quick_run(command, tmp_path) + seed + ["--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config value seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_output_dir_that_is_not_a_path_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--output-dir", str(tmp_path)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output_dir": 5}))
+    assert main(_quick_run(command, tmp_path) + ["--config", str(cfg)]) == 2
+    assert "config value output_dir must be a string, got 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["design", "--threshold", "abc"], ["report", "--reduce-ppd", "5", "--threshold", "abc"]]
+)
+def test_non_numeric_threshold_is_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--output-dir", str(tmp_path)])
+    assert excinfo.value.code == 2
+    assert "--threshold: invalid float value: 'abc'" in capsys.readouterr().err
 
 
 def test_singular_information_is_numerical_error(tmp_path):

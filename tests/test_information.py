@@ -1,10 +1,13 @@
 """Information matrix, variance bounds, eigenvalues and ellipsoid volume."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import thetas
 from eisopt import (
     DomainError,
     ErrorStructure,
@@ -14,7 +17,6 @@ from eisopt import (
     STATE_A,
     SingularInformationError,
     crlb,
-    eigenvalues,
     ellipsoid_log_volume,
     fisher,
     fisher_contributions,
@@ -147,7 +149,7 @@ def test_crlb_positive_and_matrix_symmetric_for_random_parameters(rng):
         assert np.array_equal(fim.matrix, fim.matrix.T)
         values = crlb(fim)
         assert np.all(values > 0.0)
-        assert np.all(eigenvalues(fim) > 0.0)
+        assert np.all(uncertainty_report(fim).eigvals > 0.0)
 
 
 def test_adding_a_frequency_never_hurts():
@@ -177,8 +179,9 @@ def test_log_scaled_eigenvalues_measure_relative_curvature():
     fim = fisher(STATE_A, GRID, ERR)
     scale = np.abs(STATE_A.to_array())
     expected = np.linalg.eigvalsh(fim.matrix * np.outer(scale, scale))
-    assert np.allclose(eigenvalues(fim), expected, rtol=1e-12)
-    assert eigenvalues(fim)[0] == pytest.approx(expected[0], rel=1e-12)
+    eigvals = uncertainty_report(fim).eigvals
+    assert np.allclose(eigvals, expected, rtol=1e-12)
+    assert eigvals[0] == pytest.approx(expected[0], rel=1e-12)
 
 
 def test_identity_matrix_volume_is_zero():
@@ -224,7 +227,7 @@ def test_report_bundles_consistent_numbers():
     fim = fisher(STATE_A, GRID, ERR)
     report = uncertainty_report(fim)
     assert np.allclose(report.crlb, crlb(fim), rtol=1e-12)
-    assert report.lambda_min == pytest.approx(eigenvalues(fim)[0], rel=1e-12)
+    assert report.lambda_min == pytest.approx(report.eigvals[0], rel=1e-12)
     assert report.log_volume == pytest.approx(ellipsoid_log_volume(fim), rel=1e-12)
     data = json.loads(json.dumps(report.to_json_dict()))
     assert set(data) == {
@@ -237,6 +240,42 @@ def test_report_bundles_consistent_numbers():
     }
     assert data["eigen_scaling"] == "log"
     assert len(data["eigenvalues"]) == 11
+
+
+def test_one_eigendecomposition_per_report():
+    fim = fisher(STATE_A, GRID, ERR)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+        uncertainty_report(fim)
+        assert spy.call_count == 1
+        crlb(fim)
+        ellipsoid_log_volume(fim)
+        assert spy.call_count == 3
+
+
+# ---------------------------------------------------------------------------
+# properties over the parameter domain
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(theta=thetas(), keep=st.sets(st.integers(0, GRID.n - 1), min_size=2))
+def test_thinning_the_sweep_never_sharpens_a_crlb(theta, keep):
+    thinned = fisher(theta, GRID.as_array()[sorted(keep)], ERR)
+    if theta.phi_lf == 0.0:
+        # a CPE with exponent 0 is a resistor in series with R_s, so R_s
+        # and Q_LF alias at every frequency set
+        for fim in (thinned, fisher(theta, GRID, ERR)):
+            with pytest.raises(SingularInformationError):
+                uncertainty_report(fim)
+        return
+    full = uncertainty_report(fisher(theta, GRID, ERR))
+    try:
+        report = uncertainty_report(thinned)
+    except SingularInformationError:
+        return
+    assert np.all(report.crlb / full.crlb >= 1.0 - 1e-9)
+    # the report's numbers are the standalone functions', bit for bit
+    assert np.array_equal(report.crlb, crlb(thinned))
+    assert report.log_volume == ellipsoid_log_volume(thinned)
 
 
 def test_invalid_inputs_rejected():

@@ -180,7 +180,19 @@ def test_json_round_trip(tmp_path):
     assert loaded.provenance["seed"] in (6, "6")
     assert loaded.grid.frequencies == grid.frequencies
     assert loaded.grid.ppd_default == grid.ppd_default
-    assert loaded.grid.reductions == grid.reductions
+
+
+def test_spectrum_json_with_a_reduction_history_still_loads(tmp_path):
+    # Grids record only their frequencies and density; older files also
+    # carry a "reductions" list, which loading ignores.
+    grid = reduce_ppd(log_spaced_inclusive(1e4, 0.01, 10), 0.1, 7)
+    path = tmp_path / "spectrum.json"
+    save_spectrum(synthesize(STATE_A, grid, ErrorStructure(), seed=6), path)
+    data = json.loads(path.read_text())
+    assert set(data["grid"]) == {"frequencies_hz", "ppd_default"}
+    data["grid"]["reductions"] = [{"threshold_hz": 0.1, "ppd": 7}]
+    path.write_text(json.dumps(data))
+    assert load_spectrum(path).grid == grid
 
 
 def test_csv_provenance_lines_round_trip(tmp_path):

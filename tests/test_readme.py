@@ -1,9 +1,10 @@
-"""README: the library quick start and the example config run as documented."""
+"""README: the library quick start, the example config and the command-line
+examples run as documented."""
 
 import re
 from pathlib import Path
 
-from eisopt.cli import main
+from eisopt.cli import ENV_OUTPUT_DIR, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -34,3 +35,16 @@ def test_example_config_is_accepted(tmp_path):
     rc = main(["design", "--config", str(cfg), "--max-iterations", "0",
                "--output-dir", str(tmp_path)])
     assert rc == 0
+
+
+def test_command_line_examples_run(tmp_path, monkeypatch):
+    # every `eisopt ...` line of the sh block, in order, in one directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
+    lines = [line.split("#")[0].split() for block in _blocks("sh")
+             for line in block.splitlines() if line.startswith("eisopt ")]
+    assert [argv[1] for argv in lines] == ["synth", "fit", "crlb-sweep", "design", "report"]
+    for _, *argv in lines:
+        if argv[0] == "design":
+            argv += ["--max-iterations", "2"]  # not the default 60: keeps the suite fast
+        assert main(argv) == 0, argv
