@@ -179,8 +179,29 @@ def zarc_impedance(r: float, q: float, phi: float, omega):
 def ecm_impedance(theta: ParameterVector, omega):
     """Total impedance of the series chain at angular frequency omega (rad/s)."""
     w = _check_omega(omega)
-    z, _ = _impedance_and_gradient(theta.to_array(), np.atleast_1d(w))
+    z = _impedance(theta.to_array(), np.atleast_1d(w))
     return complex(z[0]) if np.isscalar(omega) else z
+
+
+def _impedance(theta: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Evaluate Z alone at each omega.
+
+    theta is the canonical 11-array, giving z of shape (n,), or a (k, 11)
+    stack of them, giving z of shape (k, n).  The operations and their
+    order are those of the Z half of :func:`_impedance_and_gradient`, so
+    the two agree bit for bit.
+    """
+    theta = np.asarray(theta, dtype=float)
+    rows = theta if theta.ndim == 1 else theta.T[:, :, None]
+    rs, qhf, phf, r1, q1, p1, r2, q2, p2, qlf, plf = rows
+    lnjw = np.log(omega) + 1j * (np.pi / 2.0)
+
+    z = np.full(np.broadcast_shapes(np.shape(rs), lnjw.shape), rs, dtype=complex)
+    for q, phi in ((qhf, phf), (qlf, plf)):
+        z += np.exp(-phi * lnjw) / q
+    for r, q, phi in ((r1, q1, p1), (r2, q2, p2)):
+        z += r * (1.0 / (1.0 + r * q * np.exp(phi * lnjw)))
+    return z
 
 
 def _impedance_and_gradient(theta: np.ndarray, omega: np.ndarray):
@@ -233,7 +254,7 @@ def _polar_sensitivities(z: np.ndarray, dz: np.ndarray):
 def model_polar(theta: ParameterVector, frequencies_hz) -> tuple:
     """Magnitude (ohm) and phase (rad) of the model at the given Hz values."""
     f = np.asarray(frequencies_hz, dtype=float)
-    z, _ = _impedance_and_gradient(theta.to_array(), 2.0 * np.pi * f)
+    z = _impedance(theta.to_array(), 2.0 * np.pi * f)
     return np.abs(z), np.angle(z)
 
 

@@ -334,6 +334,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     grid = baseline
     threshold = ppd = None
+    if args.threshold is not None and args.reduce_ppd is None:
+        raise DomainError("--threshold requires --reduce-ppd")
     if args.reduce_ppd is not None:
         if args.threshold is None:
             raise DomainError("--reduce-ppd requires --threshold")

@@ -28,9 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import (
-    EXPONENT_INDICES,
     LOG_SCALE_INDICES,
+    N_PARAMETERS,
     ParameterVector,
+    _impedance,
     _impedance_and_gradient,
     _polar_sensitivities,
 )
@@ -51,7 +52,11 @@ EXPONENT_BOUNDS = {
 _LOG_BOUND = 50.0
 
 _LOG_IDX = np.array(LOG_SCALE_INDICES)
-_EXP_IDX = np.array(EXPONENT_INDICES)
+
+# Bounds on every internal coordinate, as applied by _project.
+_LOWER, _UPPER = np.array(
+    [EXPONENT_BOUNDS.get(k, (-_LOG_BOUND, _LOG_BOUND)) for k in range(N_PARAMETERS)]
+).T
 
 
 # Damped Gauss-Newton settings, read at call time.
@@ -112,40 +117,28 @@ def _from_internal(x: np.ndarray) -> np.ndarray:
 
 
 def _project(x: np.ndarray) -> np.ndarray:
-    x = x.copy()
-    x[_LOG_IDX] = np.clip(x[_LOG_IDX], -_LOG_BOUND, _LOG_BOUND)
-    for idx, (lo, hi) in EXPONENT_BOUNDS.items():
-        x[idx] = min(max(x[idx], lo), hi)
-    return x
+    # Comparisons rather than np.clip, so a NaN passes through and a signed
+    # zero on an exponent's bound keeps its sign.
+    x = np.where(x < _LOWER, _LOWER, x)
+    return np.where(x > _UPPER, _UPPER, x)
 
 
-def _weighted_residuals_jacobian(spectrum: Spectrum, theta_arr: np.ndarray, with_jac: bool):
-    """Residuals r = (data - model)/sigma and, optionally, the weighted
-    model Jacobian in internal coordinates."""
-    omega = 2.0 * np.pi * spectrum.frequencies
-    z, dz = _impedance_and_gradient(theta_arr, omega)
-    mag, dmag, dphase = _polar_sensitivities(z, dz)
-    r = np.concatenate(
+def _weighted_residuals(spectrum: Spectrum, z: np.ndarray) -> np.ndarray:
+    """Residuals r = (data - model)/sigma for a model impedance z of shape
+    (n,), or one row of residuals per row of a (k, n) stack."""
+    return np.concatenate(
         [
-            (spectrum.mag_ohm - mag) / spectrum.sigma_mag_ohm,
+            (spectrum.mag_ohm - np.abs(z)) / spectrum.sigma_mag_ohm,
             (spectrum.phase_rad - np.angle(z)) / spectrum.sigma_phase_rad,
-        ]
+        ],
+        axis=-1,
     )
-    if not with_jac:
-        return r, None
-    jac = np.vstack(
-        [
-            dmag / spectrum.sigma_mag_ohm[:, None],
-            dphase / spectrum.sigma_phase_rad[:, None],
-        ]
-    )
-    jac[:, _LOG_IDX] *= theta_arr[_LOG_IDX]
-    return r, jac
 
 
 def objective_value(spectrum: Spectrum, theta: ParameterVector) -> float:
     """The weighted least-squares objective at ``theta``."""
-    r, _ = _weighted_residuals_jacobian(spectrum, theta.to_array(), with_jac=False)
+    z = _impedance(theta.to_array(), 2.0 * np.pi * spectrum.frequencies)
+    r = _weighted_residuals(spectrum, z)
     return float(r @ r)
 
 
@@ -158,11 +151,28 @@ def fit_wcnls(spectrum: Spectrum, theta_start: ParameterVector) -> FitResult:
     admissible step of any length decreases the objective and the usual
     convergence measures have not triggered.
     """
+    omega = 2.0 * np.pi * spectrum.frequencies
+    n = spectrum.n
+    sigma_mag = spectrum.sigma_mag_ohm[:, None]
+    sigma_phase = spectrum.sigma_phase_rad[:, None]
+    # The weighted Jacobian in internal coordinates at the current iterate;
+    # rewritten in place only when a step is accepted.
+    jac = np.empty((2 * n, N_PARAMETERS))
+
+    def set_jacobian(theta_arr, z, dz):
+        _, dmag, dphase = _polar_sensitivities(z, dz)
+        np.divide(dmag, sigma_mag, out=jac[:n])
+        np.divide(dphase, sigma_phase, out=jac[n:])
+        jac[:, _LOG_IDX] *= theta_arr[_LOG_IDX]
+
     x = _project(_to_internal(theta_start.to_array()))
-    r, jac = _weighted_residuals_jacobian(spectrum, _from_internal(x), with_jac=True)
+    theta_arr = _from_internal(x)
+    z, dz = _impedance_and_gradient(theta_arr, omega)
+    r = _weighted_residuals(spectrum, z)
+    set_jacobian(theta_arr, z, dz)
     obj = float(r @ r)
     grad = 2.0 * (jac.T @ r)
-    gnorm = float(np.max(np.abs(grad)))
+    gnorm = float(np.abs(grad).max())
     lam = DAMPING_INIT
     iterations = 0
     converged = gnorm < GRADIENT_TOL
@@ -175,26 +185,28 @@ def fit_wcnls(spectrum: Spectrum, theta_start: ParameterVector) -> FitResult:
         diag = np.maximum(np.diag(a), 1e-300)
         accepted = False
         while lam <= DAMPING_MAX:
-            m = a + lam * np.diag(diag)
+            m = a.copy()
+            m.flat[:: N_PARAMETERS + 1] += lam * diag
             try:
                 delta = np.linalg.solve(m, g)
             except np.linalg.LinAlgError:
                 lam *= DAMPING_FACTOR
                 continue
-            biggest = float(np.max(np.abs(delta)))
+            biggest = float(np.abs(delta).max())
             if biggest > MAX_STEP:
                 delta = delta * (MAX_STEP / biggest)
             x_new = _project(x + delta)
-            step = float(np.max(np.abs(x_new - x) / (1.0 + np.abs(x))))
-            r_new, jac_new = _weighted_residuals_jacobian(
-                spectrum, _from_internal(x_new), with_jac=True
-            )
+            step = float((np.abs(x_new - x) / (1.0 + np.abs(x))).max())
+            theta_new = _from_internal(x_new)
+            z, dz = _impedance_and_gradient(theta_new, omega)
+            r_new = _weighted_residuals(spectrum, z)
             obj_new = float(r_new @ r_new)
             if np.isfinite(obj_new) and obj_new < obj:
                 decrease = (obj - obj_new) / max(obj, 1e-300)
-                x, r, jac, obj = x_new, r_new, jac_new, obj_new
+                x, r, obj = x_new, r_new, obj_new
+                set_jacobian(theta_new, z, dz)
                 grad = 2.0 * (jac.T @ r)
-                gnorm = float(np.max(np.abs(grad)))
+                gnorm = float(np.abs(grad).max())
                 lam = max(lam / DAMPING_FACTOR, 1e-12)
                 accepted = True
                 if step < STEP_TOL:
@@ -353,7 +365,7 @@ def initialize(spectrum: Spectrum) -> ParameterVector:
             )
     # Single-bump hypotheses are evaluated even when two bumps were found:
     # with noisy data a detected second bump may be spurious, and the extra
-    # candidates cost one objective evaluation each.
+    # candidates cost one more row of the scoring evaluation each.
     if picked:
         wc = omega[lo_band + picked[0]]
         h = max(y[lo_band + picked[0]], 1e-15)
@@ -380,5 +392,10 @@ def initialize(spectrum: Spectrum) -> ParameterVector:
                                q_lf, phi_lf)
                 )
 
-    best = min(candidates, key=lambda th: objective_value(spectrum, th))
-    return best
+    # One stacked model evaluation scores every candidate; min() over the
+    # per-row objectives keeps the first of equal scores.
+    r = _weighted_residuals(
+        spectrum, _impedance(np.array([th.to_array() for th in candidates]), omega)
+    )
+    scores = [float(row @ row) for row in r]
+    return candidates[min(range(len(candidates)), key=scores.__getitem__)]

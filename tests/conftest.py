@@ -46,6 +46,15 @@ def thetas(draw):
     return theta if edge is None else replace(theta, **{edge: EDGES[edge]})
 
 
+@st.composite
+def decreasing_frequencies(draw):
+    """2 to 30 strictly decreasing frequencies in Hz: a random top between
+    10 mHz and 100 kHz, then random steps of 0.001-0.5 decades down."""
+    top = draw(st.floats(-2.0, 5.0))
+    steps = draw(st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=29))
+    return 10.0 ** (top - np.cumsum([0.0] + steps))
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eisopt import (
     DomainError,
@@ -17,9 +18,9 @@ from eisopt import (
     model_polar,
     zarc_impedance,
 )
-from eisopt.circuit import EXPONENT_INDICES, _impedance_and_gradient
+from eisopt.circuit import EXPONENT_INDICES, _impedance, _impedance_and_gradient
 
-from conftest import random_theta
+from conftest import decreasing_frequencies, random_theta, thetas
 
 
 # ---------------------------------------------------------------------------
@@ -276,3 +277,22 @@ def test_jacobian_accepts_grid_objects():
 def test_exponent_indices_are_the_four_exponents():
     names = [PARAMETER_NAMES[i] for i in EXPONENT_INDICES]
     assert names == ["phi_HF", "phi_1", "phi_2", "phi_LF"]
+
+
+def _bits(z):
+    """The bit patterns of a complex array, so signed zeros compare unequal."""
+    return np.ascontiguousarray(z).view(np.int64)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(stack=st.lists(thetas(), min_size=1, max_size=4), frequencies=decreasing_frequencies())
+def test_impedance_kernel_is_bit_equal_to_the_gradient_kernel(stack, frequencies):
+    omega = 2.0 * np.pi * frequencies
+    rows = np.array([theta.to_array() for theta in stack])
+    singles = [_impedance(row, omega) for row in rows]
+    for row, z in zip(rows, singles):
+        assert z.shape == omega.shape
+        assert np.array_equal(_bits(z), _bits(_impedance_and_gradient(row, omega)[0]))
+    stacked = _impedance(rows, omega)
+    assert stacked.shape == (len(stack), omega.size)
+    assert np.array_equal(_bits(stacked), _bits(np.array(singles)))

@@ -280,6 +280,13 @@ def test_report_reduce_without_threshold_is_usage_error(tmp_path):
     assert rc == 2
 
 
+def test_report_threshold_without_reduce_is_usage_error(tmp_path, capsys):
+    rc = main(["report", "--output-dir", str(tmp_path), "--threshold", "0.3"])
+    assert rc == 2
+    assert "--threshold requires --reduce-ppd" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_missing_spectrum_file_is_usage_error(tmp_path):
     assert main(["fit", str(tmp_path / "nope.csv")]) == 2
 

@@ -1,8 +1,12 @@
 """Geometric initialization and weighted complex least-squares fitting."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import decreasing_frequencies, thetas
 from eisopt import (
     ErrorStructure,
     FrequencyGrid,
@@ -17,6 +21,7 @@ from eisopt import (
     synthesize,
 )
 import eisopt.estimation
+from eisopt.circuit import _impedance_and_gradient
 from eisopt.measurement import Spectrum
 
 
@@ -188,3 +193,97 @@ def test_noisy_fits_stay_near_truth():
         assert result.converged
         rel = np.abs(result.theta.to_array() - truth) / np.abs(truth)
         assert np.max(rel) < 0.5
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(truth=thetas(), theta=thetas(), frequencies=decreasing_frequencies(),
+       seed=st.integers(0, 2**32 - 1))
+def test_objective_is_the_sum_of_squared_weighted_residuals(truth, theta, frequencies, seed):
+    spectrum = synthesize(truth, FrequencyGrid(tuple(frequencies)), ERR, seed=seed)
+    z, _ = _impedance_and_gradient(theta.to_array(), 2.0 * np.pi * spectrum.frequencies)
+    r = np.concatenate([
+        (spectrum.mag_ohm - np.abs(z)) / spectrum.sigma_mag_ohm,
+        (spectrum.phase_rad - np.angle(z)) / spectrum.sigma_phase_rad,
+    ])
+    objective = objective_value(spectrum, theta)
+    assert objective == float(r @ r)
+    assert objective == pytest.approx(math.fsum(r * r), rel=1e-12)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_model_is_evaluated_once_per_trial_and_differentiated_once_per_accepted_step(
+    monkeypatch,
+):
+    spectrum = synthesize(STATE_B, GRID, ERR, seed=5)
+    model = _counting(monkeypatch, eisopt.estimation, "_impedance_and_gradient")
+    start = initialize(spectrum)
+    assert model == []  # candidates are scored without the gradient
+
+    polar = _counting(monkeypatch, eisopt.estimation, "_polar_sensitivities")
+    # _project runs once on the start and once on every trial step.
+    projections = _counting(monkeypatch, eisopt.estimation, "_project")
+    result = fit_wcnls(spectrum, start)
+    trials = len(projections) - 1
+    assert trials > result.iterations  # some trial steps were rejected
+    assert len(model) == trials + 1
+    assert len(polar) == result.iterations + 1 < len(model)
+
+
+# Results of fit_wcnls(s, initialize(s)) on GRID with synthesis seed 5, as
+# float.hex: theta, objective, iterations and message.  Any change to the
+# arithmetic of the estimation path shows here as a changed bit.
+_BIT_STABLE_FITS = {
+    ("STATE_A", False): (
+        ("0x1.fe1888fa6cc55p-10", "0x1.614c36fc9f439p+23", "-0x1.f909f4791ca78p-1",
+         "0x1.42105d225b256p-9", "0x1.36512eedba113p+2", "0x1.525ed2dcccba1p-1",
+         "0x1.a32c7de8e3bedp-9", "0x1.a05b0ddec06f4p+2", "0x1.e1253d6b43214p-1",
+         "0x1.a7aabbd636340p+9", "0x1.1b2283719de46p-1"),
+        "0x1.763c9f1f22df2p+6", 9, "objective decrease below tolerance",
+    ),
+    ("STATE_A", True): (
+        ("0x1.fbc5de9bffc55p-10", "0x1.59757ffffb645p+23", "-0x1.f810624dd2595p-1",
+         "0x1.3bc0a06ea7172p-9", "0x1.2dc28f5c36035p+2", "0x1.52d77318f8da5p-1",
+         "0x1.acffa7eb66298p-9", "0x1.9ad0e56043908p+2", "0x1.de90ff97260dep-1",
+         "0x1.ad40000000235p+9", "0x1.1c504816f00d4p-1"),
+        "0x1.937cbf7a9c6bfp-68", 6, "gradient below tolerance",
+    ),
+    ("STATE_B", False): (
+        ("0x1.0a22908bceb56p-9", "0x1.3dbb6943593b7p+23", "-0x1.f8eebdc90e9ffp-1",
+         "0x1.30bd5649ef1c7p-7", "0x1.02ba6cd61934dp+3", "0x1.2720c9f08be4fp-1",
+         "0x1.ad740ba28d367p-6", "0x1.9cf290efd798dp+2", "0x1.eb15574ba1bbcp-1",
+         "0x1.062019be35242p+9", "0x1.f6bd658ec8eeep-2"),
+        "0x1.69fadf28fda3ep+6", 31, "objective decrease below tolerance",
+    ),
+    ("STATE_B", True): (
+        ("0x1.085f4a12753f1p-9", "0x1.37478000097c7p+23", "-0x1.f810624dd4583p-1",
+         "0x1.3871609560002p-7", "0x1.09d2f1a9f0e8ap+3", "0x1.23bcd35a89148p-1",
+         "0x1.b1af3a14d48bcp-6", "0x1.9fced91683c25p+2", "0x1.e8c154c983e06p-1",
+         "0x1.38800000025ccp+9", "0x1.123a29c77aec3p-1"),
+        "0x1.283aca0251c91p-64", 31, "gradient below tolerance",
+    ),
+}
+
+
+@pytest.mark.parametrize("state, noiseless", sorted(_BIT_STABLE_FITS))
+def test_fit_results_are_bit_stable(state, noiseless):
+    theta = {"STATE_A": STATE_A, "STATE_B": STATE_B}[state]
+    spectrum = synthesize(theta, GRID, ERR, seed=5, noiseless=noiseless)
+    result = fit_wcnls(spectrum, initialize(spectrum))
+    got = (
+        tuple(float(v).hex() for v in result.theta.to_array()),
+        result.objective.hex(),
+        result.iterations,
+        result.message,
+    )
+    assert got == _BIT_STABLE_FITS[state, noiseless]
