@@ -44,15 +44,18 @@ class FrequencyGrid:
     ppd_default: int | None = None
 
     def __post_init__(self):
-        freqs = tuple(float(f) for f in self.frequencies)
+        freqs = tuple(map(float, self.frequencies))
         object.__setattr__(self, "frequencies", freqs)
         if len(freqs) < 2:
             raise DomainError("a frequency grid needs at least 2 points")
         arr = np.array(freqs)
-        if not np.all(arr > 0.0):
+        if not (arr > 0.0).all():
             raise DomainError("frequencies must be positive")
-        if not np.all(np.diff(arr) < 0.0):
+        if not (arr[1:] < arr[:-1]).all():
             raise DomainError("frequencies must be strictly decreasing")
+        # positive and decreasing, so only the first can be infinite
+        if not math.isfinite(freqs[0]):
+            raise DomainError("frequencies must be finite")
         if self.ppd_default is not None:
             object.__setattr__(self, "ppd_default", _count("ppd_default", self.ppd_default))
 
@@ -91,9 +94,9 @@ class FrequencyGrid:
 
 def _sweep_density(f_start: float, f_end: float, ppd) -> int:
     """Check a sweep's band and return its density as an int."""
-    if not (f_start > f_end > 0.0):
+    if not (f_start > f_end > 0.0 and math.isfinite(f_start)):
         raise DomainError(
-            f"need f_start > f_end > 0, got f_start={f_start}, f_end={f_end}"
+            f"need finite f_start > f_end > 0, got f_start={f_start}, f_end={f_end}"
         )
     return _count("ppd", ppd)
 
@@ -162,19 +165,26 @@ def reduce_ppd(grid: FrequencyGrid, f_threshold: float, ppd_low: int) -> Frequen
     if ppd_low == grid.ppd_default:
         return grid
 
-    upper = [f for f in grid.frequencies if f > f_threshold * (1.0 + MERGE_RTOL)]
+    freqs = grid.as_array()
+    upper = freqs[freqs > f_threshold * (1.0 + MERGE_RTOL)].tolist()
     span = math.log10(f_threshold) - math.log10(grid.f_end)
     if span <= MERGE_RTOL:
         low = [float(f_threshold)]
     else:
-        low = list(_inclusive_frequencies(f_threshold, grid.f_end, ppd_low))
+        low = _inclusive_frequencies(f_threshold, grid.f_end, ppd_low).tolist()
 
     merged = _merge_decreasing(upper + low)
     return FrequencyGrid(tuple(merged), ppd_default=grid.ppd_default)
 
 
-def _merge_decreasing(values):
+def _merge_decreasing(values: list) -> list:
     """Drop near-duplicate neighbours (relative tolerance MERGE_RTOL)."""
+    arr = np.array(values)
+    near = np.abs(arr[:-1] - arr[1:]) <= MERGE_RTOL * np.abs(arr[:-1])
+    if not near.any():
+        # nothing is dropped, so each point's last kept point is its
+        # predecessor, which is the pair tested here
+        return values
     merged = []
     for v in values:
         if merged and abs(merged[-1] - v) <= MERGE_RTOL * abs(merged[-1]):

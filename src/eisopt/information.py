@@ -16,6 +16,11 @@ runs on a similarity-scaled matrix D F D with D = diag(|theta|), which has
 condition numbers a plain Cholesky handles; results are mapped back to
 linear parameter units exactly.  :func:`uncertainty_report` takes the CRLB,
 log-volume and scaled (log-parameter) eigenvalues from one factorization.
+The CRLB's Cholesky factorization and solve call LAPACK ``dpotrf`` and
+``dpotrs`` directly, with the arguments ``scipy.linalg.cho_factor`` and
+``cho_solve`` pass them, so the bounds are the same bits.  A matrix that is
+not finite, such as the overflowed information of an extreme but admissible
+theta, is reported as singular.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .circuit import (
     N_PARAMETERS,
@@ -39,6 +44,10 @@ from .measurement import ErrorStructure
 # the unit-scaled matrix must exceed this fraction of the largest.
 PD_RTOL = 1e-12
 
+# Right-hand side of the CRLB solve; dpotrs copies it, never writes it.
+_IDENTITY = np.eye(N_PARAMETERS)
+_IDENTITY.flags.writeable = False
+
 
 @dataclass(frozen=True, eq=False)
 class FisherMatrix:
@@ -51,8 +60,8 @@ class FisherMatrix:
         m = np.array(self.matrix, dtype=float)
         if m.shape != (N_PARAMETERS, N_PARAMETERS):
             raise DomainError(f"information matrix must be 11x11, got {m.shape}")
-        asym = np.max(np.abs(m - m.T))
-        scale = np.max(np.abs(m))
+        asym = np.abs(m - m.T).max()
+        scale = np.abs(m).max()
         if scale > 0 and asym > 1e-12 * scale:
             raise DomainError("information matrix is not symmetric")
         m = 0.5 * (m + m.T)
@@ -65,7 +74,7 @@ def _point_weights(err: ErrorStructure, mag: np.ndarray):
     # d(sigma_mag^2)/dtheta = 2 c^2 rho drho with c = sigma_rel_mag, so the
     # variance-sensitivity term S collapses to 2 drho drho^T / rho^2.
     w_mag = 1.0 / (err.sigma_rel_mag * mag) ** 2 + 2.0 / mag**2
-    w_phase = np.full_like(mag, 1.0 / err.sigma_phase_rad**2)
+    w_phase = 1.0 / err.sigma_phase_rad**2
     return w_mag, w_phase
 
 
@@ -74,8 +83,10 @@ def _contributions(theta: ParameterVector, freqs_hz: np.ndarray,
     z, dz = _impedance_and_gradient(theta.to_array(), 2.0 * np.pi * freqs_hz)
     mag, dmag, dphase = _polar_sensitivities(z, dz)
     w_mag, w_phase = _point_weights(err, mag)
-    out = np.einsum("i,ij,ik->ijk", w_mag, dmag, dmag)
-    out += np.einsum("i,ij,ik->ijk", w_phase, dphase, dphase)
+    # (w d_j) d_k per point: the products of einsum("i,ij,ik->ijk", ...),
+    # in the same order, without its per-call set-up
+    out = (w_mag[:, None] * dmag)[:, :, None] * dmag[:, None, :]
+    out += (w_phase * dphase)[:, :, None] * dphase[:, None, :]
     return out
 
 
@@ -91,8 +102,10 @@ def fisher_contributions(theta: ParameterVector, grid, err: ErrorStructure) -> n
     )
     if freqs.size == 0:
         raise DomainError("frequency set must be nonempty")
-    if not np.all(freqs > 0.0):
+    if not (freqs > 0.0).all():
         raise DomainError("frequencies must be positive")
+    if not np.isfinite(freqs).all():
+        raise DomainError("frequencies must be finite")
     return _contributions(theta, freqs, err)
 
 
@@ -114,7 +127,13 @@ def _factor(fim: FisherMatrix):
     once D F D passes the positive-definiteness gate."""
     scale = _unit_scale(fim.theta)
     scaled = fim.matrix * np.outer(scale, scale)
-    eigvals = np.linalg.eigvalsh(scaled)
+    try:
+        eigvals = np.linalg.eigvalsh(scaled)
+    except np.linalg.LinAlgError as exc:
+        # LAPACK's eigensolver fails to converge on infinite entries
+        raise SingularInformationError(
+            f"information matrix is not finite ({exc})"
+        ) from exc
     lam_min, lam_max = eigvals[0], eigvals[-1]
     if not (lam_max > 0.0 and lam_min > PD_RTOL * lam_max):
         cond = lam_max / lam_min if lam_min > 0 else np.inf
@@ -128,13 +147,17 @@ def _factor(fim: FisherMatrix):
 
 
 def _crlb(scale: np.ndarray, scaled: np.ndarray) -> np.ndarray:
-    cho = scipy.linalg.cho_factor(scaled, lower=True)
-    inv_scaled = scipy.linalg.cho_solve(cho, np.eye(N_PARAMETERS))
+    chol, info = dpotrf(scaled, lower=1, clean=0)
+    if info != 0:
+        raise SingularInformationError(f"Cholesky factorization failed (dpotrf info={info})")
+    inv_scaled, info = dpotrs(chol, _IDENTITY, lower=1)
+    if info != 0:
+        raise SingularInformationError(f"Cholesky solve failed (dpotrs info={info})")
     return scale**2 * np.diag(inv_scaled)
 
 
 def _log_volume(scale: np.ndarray, eigvals: np.ndarray) -> float:
-    return -0.5 * float(np.sum(np.log(eigvals)) - 2.0 * np.sum(np.log(scale)))
+    return -0.5 * float(np.log(eigvals).sum() - 2.0 * np.log(scale).sum())
 
 
 def crlb(fim: FisherMatrix) -> np.ndarray:

@@ -513,6 +513,18 @@ def test_non_numeric_threshold_is_usage_error(tmp_path, capsys, argv):
     assert "--threshold: invalid float value: 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["synth", "crlb-sweep", "design", "report"])
+def test_non_finite_frequency_bound_is_usage_error(tmp_path, capsys, command):
+    # JSON reads 1e400 as infinity; the sweep has no finite length then
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"grid": {"f_start_hz": 1e400}}')
+    assert main(_quick_run(command, tmp_path) + ["--output-dir", str(tmp_path),
+                                                 "--config", str(cfg)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert main(_quick_run(command, tmp_path) + ["--output-dir", str(tmp_path),
+                                                 "--f-start", "inf"]) == 2
+
+
 def test_singular_information_is_numerical_error(tmp_path):
     # two-point band: eleven parameters cannot be bounded by four data rows
     rc = main(

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import decreasing_frequencies
 from eisopt import (
     DomainError,
     FrequencyGrid,
@@ -13,6 +15,7 @@ from eisopt import (
     reduce_ppd,
     total_time,
 )
+from eisopt.frequency import MERGE_RTOL, _inclusive_frequencies
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +135,101 @@ def test_reduce_validates_inputs():
         reduce_ppd(grid, 0.1, 0)
     with pytest.raises(DomainError):
         reduce_ppd(grid, 0.1, 11)  # denser than the default
+
+
+def _reduce_ppd_reference(grid, f_threshold, ppd_low):
+    """The thinning as a list-based loop over every point: the upper
+    segment, the regenerated low segment, then a near-duplicate merge."""
+    if ppd_low == grid.ppd_default:
+        return grid
+    upper = [f for f in grid.frequencies if f > f_threshold * (1.0 + MERGE_RTOL)]
+    span = math.log10(f_threshold) - math.log10(grid.f_end)
+    if span <= MERGE_RTOL:
+        low = [float(f_threshold)]
+    else:
+        low = list(_inclusive_frequencies(f_threshold, grid.f_end, ppd_low))
+    merged = []
+    for v in upper + low:
+        if merged and abs(merged[-1] - v) <= MERGE_RTOL * abs(merged[-1]):
+            continue
+        merged.append(float(v))
+    return FrequencyGrid(tuple(merged), ppd_default=grid.ppd_default)
+
+
+def _outcome(reduce, grid, f_threshold, ppd_low):
+    """Frequency bits and density of the thinned grid, or the error type."""
+    try:
+        out = reduce(grid, f_threshold, ppd_low)
+    except DomainError as exc:
+        return type(exc)
+    assert all(type(f) is float for f in out.frequencies)
+    return [f.hex() for f in out.frequencies], out.ppd_default
+
+
+# the near-duplicate junction: the low segment starts within MERGE_RTOL of
+# a sweep point, and the merge drops the segment's first point
+_JUNCTION = 7742.63682681127
+_JUNCTION_THRESHOLD = float(np.nextafter(_JUNCTION / (1.0 + MERGE_RTOL), 0.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    freqs=decreasing_frequencies(),
+    position=st.floats(0.0, 1.0),
+    ppd=st.integers(1, 12),
+    low=st.integers(1, 12),
+)
+def test_reduce_is_bit_equal_to_the_list_reference(freqs, position, ppd, low):
+    grid = FrequencyGrid(freqs, ppd_default=ppd)
+    # a threshold anywhere in the band, or exactly on one of its points
+    threshold = float(10.0 ** (math.log10(grid.f_end) + position * (
+        math.log10(grid.f_start) - math.log10(grid.f_end))))
+    threshold = min(max(threshold, grid.f_end), grid.f_start)
+    on_point = grid.frequencies[int(position * (grid.n - 1))]
+    # just below a point, so that the low segment may start within
+    # MERGE_RTOL of it
+    junction = max(float(np.nextafter(on_point / (1.0 + MERGE_RTOL), 0.0)), grid.f_end)
+    for t in (threshold, on_point, junction):
+        assert _outcome(reduce_ppd, grid, t, min(low, ppd)) == _outcome(
+            _reduce_ppd_reference, grid, t, min(low, ppd))
+
+
+@pytest.mark.parametrize(
+    "grid, threshold",
+    [
+        (log_spaced_inclusive(1e4, 0.01, 10), _JUNCTION_THRESHOLD),
+        (log_spaced(1e4, 0.01, 10), 0.1),
+        (FrequencyGrid((10000, 1000, 100, 10, 1), ppd_default=3), 10),
+        (FrequencyGrid(np.array([1e4, 1e3, 1e2, 10.0, 1.0, 0.1]), ppd_default=5), 3.0),
+        (FrequencyGrid(np.array([1e4, 1e3, 1e2, 10.0, 1.0, 0.1]), ppd_default=5), 0.1),
+    ],
+)
+def test_reduce_is_bit_equal_to_the_list_reference_on_fixed_grids(grid, threshold):
+    for low in range(1, grid.ppd_default + 1):
+        assert _outcome(reduce_ppd, grid, threshold, low) == _outcome(
+            _reduce_ppd_reference, grid, threshold, low)
+
+
+def test_reduce_merges_the_near_duplicate_junction():
+    grid = log_spaced_inclusive(1e4, 0.01, 10)
+    assert _JUNCTION in grid.frequencies
+    for low in range(1, 10):
+        reduced = reduce_ppd(grid, _JUNCTION_THRESHOLD, low)
+        assert _JUNCTION in reduced.frequencies
+        assert _JUNCTION_THRESHOLD not in reduced.frequencies
+
+
+def test_non_finite_frequencies_are_rejected():
+    for call in (
+        lambda: log_spaced(float("inf"), 0.01, 10),
+        lambda: log_spaced_inclusive(float("inf"), 0.01, 10),
+        lambda: log_spaced(np.inf, 1.0, 3),
+        lambda: FrequencyGrid((float("inf"), 10.0, 1.0)),
+        lambda: FrequencyGrid(np.array([np.inf, 10.0, 1.0]), ppd_default=10),
+        lambda: FrequencyGrid((10.0, float("nan"), 1.0)),
+    ):
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_counts_are_integers_never_truncated():

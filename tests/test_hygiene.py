@@ -1,12 +1,15 @@
-"""Source hygiene: every module uses each name it imports, and only
-``eisopt.measurement`` writes CSV or JSON files."""
+"""Source hygiene: every module uses each name it imports, only
+``eisopt.measurement`` writes CSV or JSON files, and every binding the
+benchmark's tracer wraps exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "eisopt"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "eisopt"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -61,3 +64,25 @@ def test_only_measurement_writes_csv_or_json(path):
 def test_the_writer_check_sees_the_shared_writers():
     tree = ast.parse((SRC / "measurement.py").read_text(encoding="utf-8"))
     assert len(list(_writer_uses(tree))) == 2
+
+
+def _tracer_bindings():
+    """(module, attribute) of every entry in perfbench/tracer.py's
+    LAYER_BINDINGS, read from the source without importing the benchmark."""
+    path = ROOT / "perfbench" / "tracer.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "LAYER_BINDINGS" for t in node.targets)):
+            return [tuple(ast.literal_eval(e) for e in entry.elts[:2]) for entry in node.value.elts]
+    raise AssertionError("perfbench/tracer.py defines no LAYER_BINDINGS")
+
+
+def test_every_traced_binding_exists():
+    # the tracer skips a binding it cannot find, which would silently empty
+    # that layer's metrics in a traced benchmark run
+    bindings = _tracer_bindings()
+    assert ("eisopt.frequency", "reduce_ppd") in bindings
+    missing = [f"{module}.{attr}" for module, attr in bindings
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == [], f"bindings the benchmark tracer cannot find: {missing}"

@@ -1,13 +1,16 @@
 """Information matrix, variance bounds, eigenvalues and ellipsoid volume."""
 
+import hashlib
 import json
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import thetas
+from conftest import decreasing_frequencies, thetas
 from eisopt import (
     DomainError,
     ErrorStructure,
@@ -15,6 +18,7 @@ from eisopt import (
     FrequencyGrid,
     ParameterVector,
     STATE_A,
+    STATE_B,
     SingularInformationError,
     crlb,
     ellipsoid_log_volume,
@@ -26,7 +30,8 @@ from eisopt import (
     reduce_ppd,
     uncertainty_report,
 )
-from eisopt.circuit import ecm_impedance
+from eisopt.circuit import _impedance_and_gradient, _polar_sensitivities, ecm_impedance
+from eisopt.information import _crlb, _factor
 
 ERR = ErrorStructure()
 GRID = log_spaced_inclusive(1e4, 0.01, 10)
@@ -289,3 +294,103 @@ def test_invalid_inputs_rejected():
     bad[0, 1] = 0.5
     with pytest.raises(DomainError):
         FisherMatrix(bad, STATE_A)
+
+
+def test_fisher_rejects_non_finite_frequencies():
+    for freqs in ([np.inf, 1.0], [10.0, np.nan], [np.inf]):
+        with pytest.raises(DomainError):
+            fisher_contributions(STATE_A, np.array(freqs), ERR)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_information_is_a_singular_error():
+    # an admissible theta whose information matrix overflows: the
+    # factorization reports it as singular, not as a LAPACK failure
+    fim = fisher(replace(STATE_A, r_1=1e200), GRID, ERR)
+    assert not np.isfinite(fim.matrix).all()
+    for derive in (crlb, ellipsoid_log_volume, uncertainty_report):
+        with pytest.raises(SingularInformationError):
+            derive(fim)
+
+
+# ---------------------------------------------------------------------------
+# the sweep path, bit for bit
+
+
+def _digest(values):
+    text = " ".join(float(v).hex() for v in np.ravel(values))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+_SWEEP_CELLS = {None: GRID}
+_SWEEP_CELLS.update({(t, p): reduce_ppd(GRID, t, p) for t in (0.1, 0.3) for p in (3, 7)})
+
+# sha256 prefixes of the float.hex strings of each cell's frequencies
+_SWEEP_FREQUENCIES = {
+    None: "acd52f841c727118",
+    (0.1, 3): "83bc4a45c15acc7a",
+    (0.1, 7): "606db2aa970903b9",
+    (0.3, 3): "bcc6ceec1a87b049",
+    (0.3, 7): "b2ff6f056226ad3e",
+}
+
+# (crlb digest, eigenvalue digest, log-volume hex) per state and cell
+_SWEEP_BITS = {
+    ("STATE_A", None): ("f7850f0dfa03a468", "af50fd17ea4835fe", "-0x1.97fab439914c8p+5"),
+    ("STATE_A", (0.1, 3)): ("4ee3057810311d86", "fdf33bc8f433d46d", "-0x1.9046f32dbca24p+5"),
+    ("STATE_A", (0.1, 7)): ("cac1daefb6902948", "d5370dcff8b95332", "-0x1.956d576e2048ep+5"),
+    ("STATE_A", (0.3, 3)): ("23d12b774c56f3e8", "6bae8d7190c2f281", "-0x1.8eb7e8e20c79ap+5"),
+    ("STATE_A", (0.3, 7)): ("ff74ff7dbbe060a0", "f9fa732205aca30c", "-0x1.952650dbcbb53p+5"),
+    ("STATE_B", None): ("e82cb9ab56312fe5", "bb09f8c76f555ad9", "-0x1.87bacc1090ddap+5"),
+    ("STATE_B", (0.1, 3)): ("c6145fa8468ff350", "2046efd92252c8b0", "-0x1.7f0c16bd7d674p+5"),
+    ("STATE_B", (0.1, 7)): ("66b1c4730db3cf7c", "5faf105f1578ea0d", "-0x1.84c6e7b0b94f2p+5"),
+    ("STATE_B", (0.3, 3)): ("62e118a76781e32c", "5dc83d1e5455462b", "-0x1.7c3131d5c195ap+5"),
+    ("STATE_B", (0.3, 7)): ("51e784bf419b5959", "1a12dfe4ce849c3f", "-0x1.842e2c9045cc2p+5"),
+}
+
+
+@pytest.mark.parametrize("state, cell", _SWEEP_BITS, ids=str)
+def test_sweep_cells_are_bit_stable(state, cell):
+    # recorded on this platform, like the fit pins in test_estimation: a
+    # different BLAS/LAPACK or CPU may need them re-recorded
+    grid = _SWEEP_CELLS[cell]
+    assert _digest(grid.frequencies) == _SWEEP_FREQUENCIES[cell]
+    fim = fisher({"STATE_A": STATE_A, "STATE_B": STATE_B}[state], grid, ERR)
+    report = uncertainty_report(fim)
+    got = (_digest(crlb(fim)), _digest(report.eigvals), report.log_volume.hex())
+    assert got == _SWEEP_BITS[state, cell]
+    assert _digest(report.crlb) == got[0]
+
+
+def _einsum_contributions(theta, freqs):
+    """The per-point terms as one three-operand einsum per noise channel."""
+    z, dz = _impedance_and_gradient(theta.to_array(), 2.0 * np.pi * freqs)
+    mag, dmag, dphase = _polar_sensitivities(z, dz)
+    w_mag = 1.0 / (ERR.sigma_rel_mag * mag) ** 2 + 2.0 / mag**2
+    w_phase = np.full_like(mag, 1.0 / ERR.sigma_phase_rad**2)
+    out = np.einsum("i,ij,ik->ijk", w_mag, dmag, dmag)
+    out += np.einsum("i,ij,ik->ijk", w_phase, dphase, dphase)
+    return out
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(theta=thetas(), freqs=decreasing_frequencies(), one=st.booleans())
+def test_contributions_are_bit_equal_to_the_einsum_formula(theta, freqs, one):
+    if one:
+        freqs = freqs[:1]
+    got = fisher_contributions(theta, freqs, ERR)
+    assert got.tobytes() == _einsum_contributions(theta, freqs).tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(theta=thetas(), freqs=decreasing_frequencies())
+def test_crlb_is_bit_equal_to_scipy_cholesky(theta, freqs):
+    # the drawn points alone rarely bound eleven parameters; on top of the
+    # sweep they give a gated matrix for every theta off phi_LF = 0
+    try:
+        scale, scaled, _ = _factor(fisher(theta, np.concatenate([GRID.as_array(), freqs]), ERR))
+    except SingularInformationError:
+        return
+    cho = scipy.linalg.cho_factor(scaled, lower=True)
+    expected = scale**2 * np.diag(scipy.linalg.cho_solve(cho, np.eye(11)))
+    assert _crlb(scale, scaled).tobytes() == expected.tobytes()
