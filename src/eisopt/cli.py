@@ -199,11 +199,19 @@ def _provenance(cfg: dict) -> dict:
 
 def _parse_list(text: str, flag: str, kind) -> list:
     try:
-        return [kind(tok) for tok in text.split(",") if tok.strip()]
+        values = [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise DomainError(
             f"{flag} expects a comma-separated list of {kind.__name__} values: {exc}"
         ) from exc
+    # an empty list would write a table without rows, and a repeated value
+    # would repeat its rows or overwrite its trace files
+    if not values:
+        raise DomainError(f"{flag} expects at least one value, got {text!r}")
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise DomainError(f"{flag} repeats {', '.join(map(repr, repeated))}")
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,12 @@ linear parameter units exactly.  :func:`uncertainty_report` takes the CRLB,
 log-volume and scaled (log-parameter) eigenvalues from one factorization.
 The CRLB's Cholesky factorization and solve call LAPACK ``dpotrf`` and
 ``dpotrs`` directly, with the arguments ``scipy.linalg.cho_factor`` and
-``cho_solve`` pass them, so the bounds are the same bits.  A matrix that is
-not finite, such as the overflowed information of an extreme but admissible
-theta, is reported as singular.
+``cho_solve`` pass them, so the bounds are the same bits.  The two routines
+are loaded from SciPy on first use rather than with this module, so that
+importing eisopt, synthesizing, fitting and the design loop never load
+SciPy; loading them late leaves the bounds' bits as they are.  A
+matrix that is not finite, such as the overflowed information of an
+extreme but admissible theta, is reported as singular.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .circuit import (
     N_PARAMETERS,
@@ -147,6 +149,10 @@ def _factor(fim: FisherMatrix):
 
 
 def _crlb(scale: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+    # imported on first use: SciPy takes longer to load than the rest of
+    # eisopt, and nothing but the CRLB needs it
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
     chol, info = dpotrf(scaled, lower=1, clean=0)
     if info != 0:
         raise SingularInformationError(f"Cholesky factorization failed (dpotrf info={info})")

@@ -513,6 +513,33 @@ def test_non_numeric_threshold_is_usage_error(tmp_path, capsys, argv):
     assert "--threshold: invalid float value: 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["crlb-sweep", "--ppd-list", ","],
+    ["crlb-sweep", "--thresholds", ","],
+    ["crlb-sweep", "--thresholds", " "],
+    ["design", "--ppd-list", ","],
+], ids=lambda argv: " ".join(argv[:2]) + repr(argv[2]))
+def test_empty_list_is_usage_error(tmp_path, capsys, argv):
+    # the run would write a table without rows
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+    assert f"{argv[1]} expects at least one value" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["crlb-sweep", "--ppd-list", "5,7,5", "5"],
+    ["crlb-sweep", "--thresholds", "0.1,0.1", "0.1"],
+    ["crlb-sweep", "--thresholds", "0.1,1e-1", "0.1"],
+    ["design", "--ppd-list", "7,07", "7"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_repeated_list_value_is_usage_error(tmp_path, capsys, argv):
+    # the run would write a value's rows twice, or overwrite its trace files
+    *argv, repeated = argv
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+    assert f"{argv[1]} repeats {repeated}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["synth", "crlb-sweep", "design", "report"])
 def test_non_finite_frequency_bound_is_usage_error(tmp_path, capsys, command):
     # JSON reads 1e400 as infinity; the sweep has no finite length then

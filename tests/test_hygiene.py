@@ -1,9 +1,14 @@
-"""Source hygiene: every module uses each name it imports, only
-``eisopt.measurement`` writes CSV or JSON files, and every binding the
-benchmark's tracer wraps exists."""
+"""Source hygiene: every module uses each name it imports and imports only
+the standard library, NumPy and eisopt at module level, SciPy stays
+unloaded until a CRLB, only ``eisopt.measurement`` writes CSV or JSON
+files, and every binding the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -34,6 +39,72 @@ def test_module_uses_every_name_it_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(origin for name, origin in _imported(tree) if name not in used)
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+# What a module may import at its top: importing eisopt then costs only the
+# interpreter's own modules and NumPy.  A heavier dependency is imported
+# where it is used, as information._crlb imports SciPy's LAPACK routines.
+_TOP_LEVEL_ALLOWED = set(sys.stdlib_module_names) | {"numpy", "eisopt"}
+
+
+def _top_level_imports(tree):
+    """(line, top-level package) of every import in the module's body;
+    relative imports are eisopt's own."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            yield node.lineno, "eisopt" if node.level else node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_module_level_imports_are_stdlib_numpy_or_eisopt(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    heavy = [f"{name} (line {line})" for line, name in _top_level_imports(tree)
+             if name not in _TOP_LEVEL_ALLOWED]
+    assert heavy == [], f"{path.name} imports at module level: {heavy}"
+
+
+def test_the_import_check_sees_module_level_imports():
+    tree = ast.parse("import numpy as np\nimport scipy.linalg\n"
+                     "from scipy.linalg.lapack import dpotrf\nfrom .circuit import N\n"
+                     "def f():\n    import mpmath\n")
+    assert list(_top_level_imports(tree)) == [
+        (1, "numpy"), (2, "scipy"), (3, "scipy"), (4, "eisopt")]
+
+
+# Runs in a fresh interpreter: other tests have long imported SciPy here.
+_SCIPY_GUARD = textwrap.dedent("""
+    import sys
+    from eisopt import (STATE_A, DesignConfig, ErrorStructure, crlb, fisher, fit_wcnls,
+                        initialize, log_spaced_inclusive, reduce_ppd, run_design, synthesize)
+    from eisopt.cli import main
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+    out = sys.argv[1]
+    err = ErrorStructure()
+    grid = log_spaced_inclusive(1e4, 0.01, 10)
+    spectrum = synthesize(STATE_A, reduce_ppd(grid, 0.1, 7), err, seed=1)
+    fit_wcnls(spectrum, initialize(spectrum))
+    run_design(spectrum, STATE_A, DesignConfig(max_iterations=2), err=err, seed=2,
+               reference_grid=grid)
+    for argv in (["synth"], ["fit", f"{out}/spectrum.csv"], ["design", "--max-iterations", "1"]):
+        assert main(argv + ["--output-dir", out]) == 0, argv
+    assert scipy_modules() == [], f"loaded before any CRLB: {scipy_modules()}"
+    crlb(fisher(STATE_A, grid, err))
+    assert "scipy.linalg.lapack" in sys.modules, "the CRLB ran without SciPy's LAPACK"
+""")
+
+
+def test_scipy_stays_unloaded_until_a_crlb(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, str(tmp_path)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # The shared writers: a CSV table or a JSON file written anywhere else would

@@ -2,13 +2,17 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eisopt import (
     DomainError,
     ErrorStructure,
+    FrequencyGrid,
     STATE_A,
     SpectrumFormatError,
     load_spectrum,
@@ -21,6 +25,8 @@ from eisopt import (
     synthesize,
 )
 from eisopt.measurement import measure_at
+
+from conftest import decreasing_frequencies, thetas
 
 
 GRID = log_spaced(1e4, 0.01, 10)
@@ -180,6 +186,29 @@ def test_json_round_trip(tmp_path):
     assert loaded.provenance["seed"] in (6, "6")
     assert loaded.grid.frequencies == grid.frequencies
     assert loaded.grid.ppd_default == grid.ppd_default
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(theta=thetas(), freqs=decreasing_frequencies(),
+       ppd_default=st.one_of(st.none(), st.integers(1, 50)),
+       noiseless=st.booleans(), suffix=st.sampled_from([".csv", ".json"]))
+def test_spectrum_file_round_trip_over_the_domain(theta, freqs, ppd_default, noiseless,
+                                                  suffix):
+    grid = FrequencyGrid(tuple(freqs), ppd_default)
+    spectrum = synthesize(theta, grid, ErrorStructure(), seed=6, noiseless=noiseless)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"spectrum{suffix}"
+        save_spectrum(spectrum, path)
+        loaded = load_spectrum(path)
+    assert loaded.grid.frequencies == grid.frequencies
+    # the CSV columns carry no density, so a CSV file loads without one
+    assert loaded.grid.ppd_default == (ppd_default if suffix == ".json" else None)
+    assert np.array_equal(loaded.mag_ohm, spectrum.mag_ohm)
+    assert np.array_equal(loaded.sigma_mag_ohm, spectrum.sigma_mag_ohm)
+    assert np.allclose(loaded.phase_rad, spectrum.phase_rad, rtol=5e-16, atol=5e-16)
+    assert np.allclose(
+        loaded.sigma_phase_rad, spectrum.sigma_phase_rad, rtol=5e-16, atol=5e-16
+    )
 
 
 def test_spectrum_json_with_a_reduction_history_still_loads(tmp_path):
