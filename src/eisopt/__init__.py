@@ -10,11 +10,8 @@ from .circuit import (
     N_PARAMETERS,
     PARAMETER_NAMES,
     ParameterVector,
-    cpe_impedance,
-    ecm_impedance,
     jacobian,
     model_polar,
-    zarc_impedance,
 )
 from .design import (
     AdjustmentStep,
@@ -26,7 +23,6 @@ from .estimation import (
     FitResult,
     fit_wcnls,
     initialize,
-    objective_value,
 )
 from .exceptions import (
     DesignError,
@@ -69,11 +65,8 @@ __all__ = [
     "N_PARAMETERS",
     "PARAMETER_NAMES",
     "ParameterVector",
-    "cpe_impedance",
-    "ecm_impedance",
     "jacobian",
     "model_polar",
-    "zarc_impedance",
     "AdjustmentStep",
     "AdjustmentTrace",
     "DesignConfig",
@@ -81,7 +74,6 @@ __all__ = [
     "FitResult",
     "fit_wcnls",
     "initialize",
-    "objective_value",
     "DesignError",
     "DomainError",
     "EisoptError",

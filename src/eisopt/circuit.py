@@ -48,7 +48,6 @@ N_PARAMETERS = len(PARAMETER_NAMES)
 # Indices of parameters that are positive and optimized in log space
 # (resistances and CPE coefficients); the four exponents stay linear.
 LOG_SCALE_INDICES = (0, 1, 3, 4, 6, 7, 9)
-EXPONENT_INDICES = (2, 5, 8, 10)
 
 
 @dataclass(frozen=True)
@@ -129,58 +128,6 @@ class ParameterVector:
             return cls.from_array([mapping[name] for name in PARAMETER_NAMES])
         except KeyError as exc:
             raise DomainError(f"missing parameter {exc.args[0]!r}") from exc
-
-
-def _check_omega(omega) -> np.ndarray:
-    w = np.asarray(omega, dtype=float)
-    if not np.all(w > 0.0):
-        raise DomainError("angular frequency must be positive")
-    return w
-
-
-def _jw_pow(omega: np.ndarray, phi: float) -> np.ndarray:
-    # Principal branch: (j*w)**phi = w**phi * exp(j*pi*phi/2) for w > 0.
-    return np.exp(phi * (np.log(omega) + 1j * (np.pi / 2.0)))
-
-
-def cpe_impedance(q: float, phi: float, omega):
-    """Impedance of a constant phase element, 1/(Q*(j*w)**phi).
-
-    Parameters
-    ----------
-    q : float
-        CPE coefficient, > 0.
-    phi : float
-        CPE exponent.  phi = 1 is an ideal capacitor, phi = 0.5 the Warburg
-        element, negative values give inductive behaviour.
-    omega : float or array
-        Angular frequency in rad/s, > 0.
-
-    Returns
-    -------
-    complex or ndarray of complex
-    """
-    if not q > 0.0:
-        raise DomainError(f"CPE coefficient must be positive, got {q}")
-    w = _check_omega(omega)
-    z = 1.0 / (q * _jw_pow(w, phi))
-    return complex(z) if np.isscalar(omega) else z
-
-
-def zarc_impedance(r: float, q: float, phi: float, omega):
-    """Impedance of a resistor in parallel with a CPE: R / (1 + R*Q*(j*w)**phi)."""
-    if not (r > 0.0 and q > 0.0):
-        raise DomainError("Zarc R and Q must be positive")
-    w = _check_omega(omega)
-    z = r / (1.0 + r * q * _jw_pow(w, phi))
-    return complex(z) if np.isscalar(omega) else z
-
-
-def ecm_impedance(theta: ParameterVector, omega):
-    """Total impedance of the series chain at angular frequency omega (rad/s)."""
-    w = _check_omega(omega)
-    z = _impedance(theta.to_array(), np.atleast_1d(w))
-    return complex(z[0]) if np.isscalar(omega) else z
 
 
 def _impedance(theta: np.ndarray, omega: np.ndarray) -> np.ndarray:

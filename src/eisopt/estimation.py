@@ -135,13 +135,6 @@ def _weighted_residuals(spectrum: Spectrum, z: np.ndarray) -> np.ndarray:
     )
 
 
-def objective_value(spectrum: Spectrum, theta: ParameterVector) -> float:
-    """The weighted least-squares objective at ``theta``."""
-    z = _impedance(theta.to_array(), 2.0 * np.pi * spectrum.frequencies)
-    r = _weighted_residuals(spectrum, z)
-    return float(r @ r)
-
-
 def fit_wcnls(spectrum: Spectrum, theta_start: ParameterVector) -> FitResult:
     """Minimize the weighted magnitude/phase objective from ``theta_start``.
 

@@ -193,7 +193,7 @@ def _merge_decreasing(values: list) -> list:
     return merged
 
 
-def total_time(grid: FrequencyGrid, n_p: int = 5) -> float:
+def total_time(grid: FrequencyGrid, n_p: int) -> float:
     """Total sweep duration in seconds: n_p periods at every frequency."""
     n_p = _count("n_p", n_p)
     return float(n_p * np.sum(1.0 / grid.as_array()))

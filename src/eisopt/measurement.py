@@ -205,7 +205,8 @@ def save_spectrum(spectrum: Spectrum, path) -> None:
     """Write a spectrum to ``path``.
 
     Paths ending in .json get the JSON form with a provenance block;
-    everything else gets CSV with '#'-prefixed provenance header lines.
+    everything else gets CSV with '#'-prefixed provenance header lines,
+    the last of them ``# ppd_default=N`` when the grid has a density.
     """
     path = str(path)
     if path.endswith(".json"):
@@ -259,6 +260,8 @@ def _write_csv(spectrum: Spectrum, fh) -> None:
         for key in ("source", "seed", "noiseless", "config_hash", "version")
         if key in spectrum.provenance
     }
+    if spectrum.grid.ppd_default is not None:
+        header["ppd_default"] = spectrum.grid.ppd_default
     rows = (
         [repr(f), repr(float(mag)), repr(math.degrees(phase)), repr(float(smag)),
          repr(math.degrees(sphase))]
@@ -272,6 +275,7 @@ def _write_csv(spectrum: Spectrum, fh) -> None:
 
 def _read_csv(fh, origin: str) -> Spectrum:
     provenance = {"source": origin}
+    ppd_default = None
     rows = []
     header = None
     for lineno, line in enumerate(fh, start=1):
@@ -281,8 +285,16 @@ def _read_csv(fh, origin: str) -> Spectrum:
         if text.startswith("#"):
             body = text.lstrip("#").strip()
             if "=" in body:
-                key, _, value = body.partition("=")
-                provenance[key.strip()] = value.strip()
+                key, _, value = (part.strip() for part in body.partition("="))
+                if key != "ppd_default":
+                    provenance[key] = value
+                elif value.isdecimal() and int(value) >= 1:
+                    ppd_default = int(value)
+                else:
+                    raise SpectrumFormatError(
+                        f"ppd_default must be an integer >= 1, got {value!r}",
+                        line_number=lineno,
+                    )
             continue
         cells = next(csv.reader([text]))
         if header is None:
@@ -315,7 +327,7 @@ def _read_csv(fh, origin: str) -> Spectrum:
             )
         prev_f = f
     data = np.array([values for _, values in rows])
-    grid = FrequencyGrid(tuple(data[:, 0]))
+    grid = FrequencyGrid(tuple(data[:, 0]), ppd_default)
     return Spectrum(
         grid,
         data[:, 1],

@@ -50,6 +50,15 @@ def test_synth_writes_sixty_one_rows(tmp_path):
     assert len(prov["provenance"]["config_hash"]) == 12
 
 
+def test_synth_csv_keeps_its_density_and_can_be_reduced(tmp_path):
+    assert main(["synth", "--output-dir", str(tmp_path)]) == 0
+    grid = load_spectrum(tmp_path / "spectrum.csv").grid
+    assert grid.ppd_default == 10
+    reduced = reduce_ppd(grid, 0.1, 7)
+    assert reduced.ppd_default == 10
+    assert len(reduced) < len(grid)
+
+
 def test_synth_reruns_byte_identically(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):

@@ -74,6 +74,9 @@ def test_grid_rejects_bad_ranges():
         FrequencyGrid((1.0, 2.0, 0.5))  # not decreasing
     with pytest.raises(DomainError):
         FrequencyGrid((1.0,))  # fewer than two points
+    for last in (0.0, -2.0):
+        with pytest.raises(DomainError, match="positive"):
+            FrequencyGrid((1.0, last))
 
 
 # ---------------------------------------------------------------------------

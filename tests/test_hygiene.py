@@ -1,11 +1,13 @@
 """Source hygiene: every module uses each name it imports and imports only
 the standard library, NumPy and eisopt at module level, SciPy stays
 unloaded until a CRLB, only ``eisopt.measurement`` writes CSV or JSON
-files, and every binding the benchmark's tracer wraps exists."""
+files, every binding the benchmark's tracer wraps exists, and every public
+name has a use outside the tests."""
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -157,3 +159,54 @@ def test_every_traced_binding_exists():
     missing = [f"{module}.{attr}" for module, attr in bindings
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == [], f"bindings the benchmark tracer cannot find: {missing}"
+
+
+# A public name that only the tests call is code kept working for no user.
+# Each name in eisopt.__all__ must be used by another eisopt module or by
+# the benchmark, or be documented in the README; jacobian stays for the
+# derivative oracle of the acceptance criteria.
+_TESTED_ONLY_BY_DESIGN = {"jacobian"}
+
+
+def _names_read(tree):
+    """Every name the module reads, as a variable, an attribute or an
+    import; the names its own definitions and assignments bind are not
+    reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def _public_names_without_a_use(public, sources, readme):
+    used = set(re.findall(r"\w+", readme))
+    for source in sources:
+        used.update(_names_read(ast.parse(source)))
+    return sorted(set(public) - used - _TESTED_ONLY_BY_DESIGN)
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    import eisopt
+
+    paths = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
+    unused = _public_names_without_a_use(
+        eisopt.__all__, [p.read_text(encoding="utf-8") for p in paths],
+        (ROOT / "README.md").read_text(encoding="utf-8"))
+    assert unused == [], f"public names that only the tests use: {unused}"
+
+
+def test_the_public_name_check_sees_uses_not_definitions():
+    source = textwrap.dedent("""
+        from .circuit import model_polar
+        import eisopt
+        N_POINTS = 3
+        def unused_helper(grid):
+            return eisopt.crlb(fisher(grid))
+    """)
+    public = ["model_polar", "crlb", "fisher", "save_spectrum", "N_POINTS",
+              "unused_helper", "total_time", "jacobian"]
+    assert _public_names_without_a_use(public, [source], "call `save_spectrum(s, path)`") == [
+        "N_POINTS", "total_time", "unused_helper"]

@@ -30,7 +30,7 @@ from eisopt import (
     reduce_ppd,
     uncertainty_report,
 )
-from eisopt.circuit import _impedance_and_gradient, _polar_sensitivities, ecm_impedance
+from eisopt.circuit import _impedance_and_gradient, _polar_sensitivities
 from eisopt.information import _crlb, _factor
 
 ERR = ErrorStructure()
@@ -51,10 +51,9 @@ def _manual_fisher(theta, freqs, err, variance_term):
     ``variance_term`` adds the magnitude-variance sensitivity: with
     sigma_mag = c * rho it contributes 2 drho drho^T / rho^2 per point."""
     n = freqs.size
-    z = ecm_impedance(theta, 2.0 * np.pi * freqs)
+    mag, _ = model_polar(theta, freqs)
     full = jacobian(theta, freqs)
     g_mag, g_phase = full[:n], full[n:]
-    mag = np.abs(z)
     w_mag = 1.0 / (err.sigma_rel_mag * mag) ** 2
     if variance_term:
         w_mag = w_mag + 2.0 / mag**2

@@ -201,8 +201,8 @@ def test_spectrum_file_round_trip_over_the_domain(theta, freqs, ppd_default, noi
         save_spectrum(spectrum, path)
         loaded = load_spectrum(path)
     assert loaded.grid.frequencies == grid.frequencies
-    # the CSV columns carry no density, so a CSV file loads without one
-    assert loaded.grid.ppd_default == (ppd_default if suffix == ".json" else None)
+    assert loaded.grid.ppd_default == ppd_default
+    assert "ppd_default" not in loaded.provenance
     assert np.array_equal(loaded.mag_ohm, spectrum.mag_ohm)
     assert np.array_equal(loaded.sigma_mag_ohm, spectrum.sigma_mag_ohm)
     assert np.allclose(loaded.phase_rad, spectrum.phase_rad, rtol=5e-16, atol=5e-16)
@@ -231,6 +231,32 @@ def test_csv_provenance_lines_round_trip(tmp_path):
     text = path.read_text()
     assert text.startswith("# source=synthetic\n# seed=6\n")
     assert load_spectrum(path).provenance["seed"] == "6"
+
+
+def test_csv_density_is_the_last_header_line(tmp_path):
+    path = tmp_path / "spectrum.csv"
+    save_spectrum(synthesize(STATE_A, GRID, ErrorStructure(), seed=6), path)
+    header = [line for line in path.read_text().splitlines() if line.startswith("#")]
+    assert header[-1] == "# ppd_default=10"
+    save_spectrum(synthesize(STATE_A, FrequencyGrid(GRID.frequencies), ErrorStructure(),
+                             seed=6), path)
+    assert "ppd_default" not in path.read_text()
+    assert load_spectrum(path).grid.ppd_default is None
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "7.5", "seven", "", "true"])
+def test_csv_density_that_is_not_a_count_is_rejected(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "# seed=6\n"
+        f"# ppd_default={value}\n"
+        "f_hz,mag_ohm,phase_deg,sigma_mag_ohm,sigma_phase_deg\n"
+        "10.0,0.01,-30.0,1e-5,0.33\n"
+        "1.0,0.02,-40.0,1e-5,0.33\n"
+    )
+    with pytest.raises(SpectrumFormatError, match="ppd_default") as excinfo:
+        load_spectrum(path)
+    assert excinfo.value.line_number == 2
 
 
 def test_empty_file_rejected(tmp_path):
