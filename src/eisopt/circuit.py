@@ -198,9 +198,26 @@ def _polar_sensitivities(z: np.ndarray, dz: np.ndarray):
     return rho, drho, dphase
 
 
+def _frequencies(grid) -> np.ndarray:
+    """The Hz values of a FrequencyGrid, an array or a scalar as a 1-D
+    float array, checked nonempty, positive and finite: a zero or negative
+    frequency would give NaN rows, and a 2-D array broadcast errors or a
+    2-D result, not a DomainError."""
+    freqs = np.atleast_1d(np.asarray(getattr(grid, "frequencies", grid), dtype=float))
+    if freqs.ndim != 1:
+        raise DomainError(f"frequencies must be a 1-D array, got shape {freqs.shape}")
+    if freqs.size == 0:
+        raise DomainError("frequency set must be nonempty")
+    if not (freqs > 0.0).all():
+        raise DomainError("frequencies must be positive")
+    if not np.isfinite(freqs).all():
+        raise DomainError("frequencies must be finite")
+    return freqs
+
+
 def model_polar(theta: ParameterVector, frequencies_hz) -> tuple:
     """Magnitude (ohm) and phase (rad) of the model at the given Hz values."""
-    f = np.asarray(frequencies_hz, dtype=float)
+    f = _frequencies(frequencies_hz)
     z = _impedance(theta.to_array(), 2.0 * np.pi * f)
     return np.abs(z), np.angle(z)
 
@@ -219,9 +236,7 @@ def jacobian(theta: ParameterVector, grid) -> np.ndarray:
         First n rows are d|Z_i|/dtheta_k, last n rows d(arg Z_i)/dtheta_k,
         in canonical parameter order.
     """
-    f = np.asarray(getattr(grid, "frequencies", grid), dtype=float)
-    if f.size == 0:
-        raise DomainError("frequency grid must be nonempty")
+    f = _frequencies(grid)
     z, dz = _impedance_and_gradient(theta.to_array(), 2.0 * np.pi * f)
     _, drho, dphase = _polar_sensitivities(z, dz)
     return np.vstack([drho, dphase])

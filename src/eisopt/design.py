@@ -119,9 +119,6 @@ class AdjustmentTrace:
     def final(self) -> AdjustmentStep:
         return self.steps[-1]
 
-    def normalized_volumes(self) -> np.ndarray:
-        return np.array([s.normalized_volume for s in self.steps])
-
     def save_jsonl(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for step in self.steps:
@@ -174,7 +171,7 @@ class _EigenWorkspace:
     def __init__(self, theta: ParameterVector, grid: FrequencyGrid, err: ErrorStructure):
         self.theta = theta
         self.err = err
-        self.freqs = grid.as_array()
+        self.freqs = grid.frequencies
         self.parts = fisher_contributions(theta, grid, err)
         self.total = np.sum(self.parts, axis=0)
         self.fim = FisherMatrix(self.total, theta)

@@ -144,7 +144,7 @@ def fit_wcnls(spectrum: Spectrum, theta_start: ParameterVector) -> FitResult:
     admissible step of any length decreases the objective and the usual
     convergence measures have not triggered.
     """
-    omega = 2.0 * np.pi * spectrum.frequencies
+    omega = 2.0 * np.pi * spectrum.grid.frequencies
     n = spectrum.n
     sigma_mag = spectrum.sigma_mag_ohm[:, None]
     sigma_phase = spectrum.sigma_phase_rad[:, None]
@@ -268,7 +268,7 @@ def initialize(spectrum: Spectrum) -> ParameterVector:
     Requires at least three decades of frequency coverage so the
     high-frequency tail, the arcs and the diffusion branch are separable.
     """
-    f = spectrum.frequencies
+    f = spectrum.grid.frequencies
     n = spectrum.n
     if n < 10 or math.log10(f[0] / f[-1]) < 3.0:
         raise InitializationError(

@@ -6,8 +6,9 @@ each point costs ``n_p`` excitation periods, low frequencies dominate the
 total measurement time; the lowest decade of a uniform grid eats roughly 90%
 of it.  The reduction operation thins the grid below a threshold frequency to
 buy time back, which is the starting point of the adjustment loop in
-:mod:`eisopt.design`.  A grid is only its frequencies and the density it was
-generated at; the caller names what thinned it (a file name, a table column).
+:mod:`eisopt.design`.  A grid is only its frequencies, one read-only float64
+array that every consumer reads as it is, and the density it was generated
+at; the caller names what thinned it (a file name, a table column).
 """
 
 from __future__ import annotations
@@ -32,61 +33,58 @@ def _count(name: str, value, low: int = 1) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyGrid:
-    """Ordered measurement frequencies, strictly decreasing, in Hz.
+    """Ordered measurement frequencies in Hz: a read-only, strictly
+    decreasing, 1-D float64 array of at least 2 points, copied from the
+    caller's input.
 
     ``ppd_default`` is the density the grid was generated with (None for
     grids loaded from bare frequency lists); :func:`reduce_ppd` keeps it.
     """
 
-    frequencies: tuple
+    frequencies: np.ndarray
     ppd_default: int | None = None
 
     def __post_init__(self):
-        freqs = tuple(map(float, self.frequencies))
-        object.__setattr__(self, "frequencies", freqs)
-        if len(freqs) < 2:
-            raise DomainError("a frequency grid needs at least 2 points")
-        arr = np.array(freqs)
-        if not (arr > 0.0).all():
+        freqs = np.array(self.frequencies, dtype=float)
+        if freqs.ndim != 1 or freqs.size < 2:
+            raise DomainError(
+                f"a frequency grid needs 1-D frequencies, at least 2, got shape {freqs.shape}"
+            )
+        if not (freqs > 0.0).all():
             raise DomainError("frequencies must be positive")
-        if not (arr[1:] < arr[:-1]).all():
+        if not (freqs[1:] < freqs[:-1]).all():
             raise DomainError("frequencies must be strictly decreasing")
         # positive and decreasing, so only the first can be infinite
         if not math.isfinite(freqs[0]):
             raise DomainError("frequencies must be finite")
+        freqs.flags.writeable = False
+        object.__setattr__(self, "frequencies", freqs)
         if self.ppd_default is not None:
             object.__setattr__(self, "ppd_default", _count("ppd_default", self.ppd_default))
-
-    @property
-    def n(self) -> int:
-        return len(self.frequencies)
 
     def __len__(self) -> int:
         return len(self.frequencies)
 
     @property
     def f_start(self) -> float:
-        return self.frequencies[0]
+        return float(self.frequencies[0])
 
     @property
     def f_end(self) -> float:
-        return self.frequencies[-1]
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.frequencies)
+        return float(self.frequencies[-1])
 
     def to_json_dict(self) -> dict:
         return {
-            "frequencies_hz": list(self.frequencies),
+            "frequencies_hz": self.frequencies.tolist(),
             "ppd_default": self.ppd_default,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FrequencyGrid":
         try:
-            freqs = tuple(float(f) for f in data["frequencies_hz"])
+            freqs = [float(f) for f in data["frequencies_hz"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise SpectrumFormatError(f"bad grid JSON: {exc}") from exc
         return cls(freqs, data.get("ppd_default"))
@@ -113,7 +111,7 @@ def log_spaced(f_start: float, f_end: float, ppd: int) -> FrequencyGrid:
     n = math.floor(1.5 + ppd * span)
     k = np.arange(n)
     freqs = 10.0 ** (math.log10(f_start) - k / ppd)
-    return FrequencyGrid(tuple(freqs), ppd_default=ppd)
+    return FrequencyGrid(freqs, ppd_default=ppd)
 
 
 def log_spaced_inclusive(f_start: float, f_end: float, ppd: int) -> FrequencyGrid:
@@ -129,7 +127,7 @@ def log_spaced_inclusive(f_start: float, f_end: float, ppd: int) -> FrequencyGri
     """
     ppd = _sweep_density(f_start, f_end, ppd)
     freqs = _inclusive_frequencies(f_start, f_end, ppd)
-    return FrequencyGrid(tuple(freqs), ppd_default=ppd)
+    return FrequencyGrid(freqs, ppd_default=ppd)
 
 
 def _inclusive_frequencies(f_start: float, f_end: float, ppd: int) -> np.ndarray:
@@ -165,7 +163,7 @@ def reduce_ppd(grid: FrequencyGrid, f_threshold: float, ppd_low: int) -> Frequen
     if ppd_low == grid.ppd_default:
         return grid
 
-    freqs = grid.as_array()
+    freqs = grid.frequencies
     upper = freqs[freqs > f_threshold * (1.0 + MERGE_RTOL)].tolist()
     span = math.log10(f_threshold) - math.log10(grid.f_end)
     if span <= MERGE_RTOL:
@@ -174,7 +172,7 @@ def reduce_ppd(grid: FrequencyGrid, f_threshold: float, ppd_low: int) -> Frequen
         low = _inclusive_frequencies(f_threshold, grid.f_end, ppd_low).tolist()
 
     merged = _merge_decreasing(upper + low)
-    return FrequencyGrid(tuple(merged), ppd_default=grid.ppd_default)
+    return FrequencyGrid(merged, ppd_default=grid.ppd_default)
 
 
 def _merge_decreasing(values: list) -> list:
@@ -196,5 +194,5 @@ def _merge_decreasing(values: list) -> list:
 def total_time(grid: FrequencyGrid, n_p: int) -> float:
     """Total sweep duration in seconds: n_p periods at every frequency."""
     n_p = _count("n_p", n_p)
-    return float(n_p * np.sum(1.0 / grid.as_array()))
+    return float(n_p * np.sum(1.0 / grid.frequencies))
 

@@ -36,6 +36,7 @@ from .circuit import (
     N_PARAMETERS,
     PARAMETER_NAMES,
     ParameterVector,
+    _frequencies,
     _impedance_and_gradient,
     _polar_sensitivities,
 )
@@ -99,16 +100,7 @@ def fisher_contributions(theta: ParameterVector, grid, err: ErrorStructure) -> n
     The adjustment loop uses these to re-evaluate candidate moves by
     swapping a single summand instead of rebuilding the whole matrix.
     """
-    freqs = np.atleast_1d(
-        np.asarray(getattr(grid, "frequencies", grid), dtype=float)
-    )
-    if freqs.size == 0:
-        raise DomainError("frequency set must be nonempty")
-    if not (freqs > 0.0).all():
-        raise DomainError("frequencies must be positive")
-    if not np.isfinite(freqs).all():
-        raise DomainError("frequencies must be finite")
-    return _contributions(theta, freqs, err)
+    return _contributions(theta, _frequencies(grid), err)
 
 
 def fisher(theta: ParameterVector, grid, err: ErrorStructure) -> FisherMatrix:

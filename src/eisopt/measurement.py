@@ -68,8 +68,8 @@ def sigma_at(err: ErrorStructure, mag_ohm):
 class Spectrum:
     """Per-frequency magnitude/phase samples with their standard deviations.
 
-    Arrays are aligned with ``grid.frequencies`` (decreasing Hz) and are
-    read-only.  ``provenance`` records how the data came to be (synthesis
+    Arrays are aligned with ``grid.frequencies`` (decreasing Hz), finite
+    and read-only.  ``provenance`` records how the data came to be (synthesis
     seed or source file).
     """
 
@@ -89,16 +89,14 @@ class Spectrum:
                     f"{name} must have one value per grid frequency "
                     f"({n}), got shape {arr.shape}"
                 )
+            if not np.isfinite(arr).all():
+                raise DomainError(f"{name} must be finite")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if not np.all(self.mag_ohm > 0.0):
             raise DomainError("measured magnitudes must be positive")
         if not (np.all(self.sigma_mag_ohm > 0.0) and np.all(self.sigma_phase_rad > 0.0)):
             raise DomainError("per-point standard deviations must be positive")
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return self.grid.as_array()
 
     @property
     def n(self) -> int:
@@ -120,7 +118,7 @@ class Spectrum:
         count is preserved and the decreasing-frequency order restored."""
         if not 0 <= index < self.n:
             raise DomainError(f"point index {index} out of range")
-        freqs = np.array(self.grid.frequencies)
+        freqs = self.grid.frequencies.copy()
         mag = self.mag_ohm.copy()
         phase = self.phase_rad.copy()
         smag = self.sigma_mag_ohm.copy()
@@ -131,7 +129,7 @@ class Spectrum:
         smag[index] = sigma_mag_ohm
         sphase[index] = sigma_phase_rad
         order = np.argsort(-freqs, kind="stable")
-        grid = FrequencyGrid(tuple(freqs[order]), self.grid.ppd_default)
+        grid = FrequencyGrid(freqs[order], self.grid.ppd_default)
         return Spectrum(
             grid, mag[order], phase[order], smag[order], sphase[order],
             dict(self.provenance),
@@ -154,7 +152,7 @@ def synthesize(
     skips the corruption but keeps the same standard deviations, so the
     spectrum remains usable as a weighted-fit input.
     """
-    mag0, phase0 = model_polar(theta_true, grid.as_array())
+    mag0, phase0 = model_polar(theta_true, grid.frequencies)
     sigma_mag, sigma_phase = sigma_at(err, mag0)
     if noiseless:
         mag, phase = mag0, phase0
@@ -266,7 +264,7 @@ def _write_csv(spectrum: Spectrum, fh) -> None:
         [repr(f), repr(float(mag)), repr(math.degrees(phase)), repr(float(smag)),
          repr(math.degrees(sphase))]
         for f, mag, phase, smag, sphase in zip(
-            spectrum.grid.frequencies, spectrum.mag_ohm, spectrum.phase_rad,
+            spectrum.grid.frequencies.tolist(), spectrum.mag_ohm, spectrum.phase_rad,
             spectrum.sigma_mag_ohm, spectrum.sigma_phase_rad,
         )
     )
@@ -327,7 +325,7 @@ def _read_csv(fh, origin: str) -> Spectrum:
             )
         prev_f = f
     data = np.array([values for _, values in rows])
-    grid = FrequencyGrid(tuple(data[:, 0]), ppd_default)
+    grid = FrequencyGrid(data[:, 0], ppd_default)
     return Spectrum(
         grid,
         data[:, 1],
@@ -351,7 +349,7 @@ def _to_json_dict(spectrum: Spectrum) -> dict:
                 "sigma_phase_deg": math.degrees(sp),
             }
             for f, m, p, sm, sp in zip(
-                spectrum.grid.frequencies,
+                spectrum.grid.frequencies.tolist(),
                 spectrum.mag_ohm,
                 spectrum.phase_rad,
                 spectrum.sigma_mag_ohm,
@@ -364,7 +362,7 @@ def _to_json_dict(spectrum: Spectrum) -> dict:
 def _from_json_dict(data: dict, origin: str) -> Spectrum:
     try:
         grid_data, points = data["grid"], data["points"]
-        f_hz = tuple(float(p["f_hz"]) for p in points)
+        f_hz = [float(p["f_hz"]) for p in points]
         mag = [float(p["mag_ohm"]) for p in points]
         phase = [math.radians(p["phase_deg"]) for p in points]
         smag = [float(p["sigma_mag_ohm"]) for p in points]
@@ -378,7 +376,7 @@ def _from_json_dict(data: dict, origin: str) -> Spectrum:
         spectrum = Spectrum(grid, mag, phase, smag, sphase, provenance)
     except DomainError as exc:
         raise SpectrumFormatError(f"bad spectrum JSON: {exc}") from exc
-    if f_hz != grid.frequencies:
+    if not np.array_equal(f_hz, grid.frequencies):
         raise SpectrumFormatError(
             "bad spectrum JSON: the points' f_hz differ from the grid's frequencies_hz"
         )

@@ -66,9 +66,9 @@ def _design_traces(ppd):
 
 
 def test_criterion_1_grid_size_and_sweep_time_distribution():
-    assert FORMULA_GRID.n == 61
+    assert len(FORMULA_GRID) == 61
 
-    freqs = FORMULA_GRID.as_array()
+    freqs = FORMULA_GRID.frequencies
     t_total = total_time(FORMULA_GRID, N_P)
     t_lowest = float(np.sum(N_P / freqs[freqs < 0.1]))
     t_next = float(np.sum(N_P / freqs[(freqs >= 0.1) & (freqs < 1.0)]))
@@ -118,14 +118,14 @@ def test_criterion_5_variance_bound_monotonicity():
         base = crlb(fisher(STATE_A, grid, ERR))
 
         # thinning the low end never sharpens any parameter's bound
-        threshold = float(rng.choice(grid.as_array()[1:-1]))
+        threshold = float(rng.choice(grid.frequencies[1:-1]))
         reduced = reduce_ppd(grid, threshold, int(rng.integers(1, ppd)))
         after = crlb(fisher(STATE_A, reduced, ERR))
         assert np.all(after >= base * (1.0 - 1e-10))
 
         # measuring one extra frequency never loosens any bound
         extra = 10.0 ** rng.uniform(math.log10(grid.f_end), math.log10(grid.f_start))
-        augmented = np.append(grid.as_array(), extra)
+        augmented = np.append(grid.frequencies, extra)
         added = crlb(fisher(STATE_A, augmented, ERR))
         assert np.all(added <= base * (1.0 + 1e-10))
 
@@ -134,8 +134,7 @@ def test_criterion_6_volume_crossing_for_reduced_densities():
     for ppd in (7, 8, 9):
         crossed = 0
         for trace in _design_traces(ppd):
-            volumes = trace.normalized_volumes()
-            if np.min(volumes) < 1.0:
+            if min(step.normalized_volume for step in trace.steps) < 1.0:
                 crossed += 1
             for step in trace.steps[1:]:
                 assert step.lambda_min_after >= step.lambda_min_before, (
@@ -205,7 +204,7 @@ def test_criterion_9_derivative_and_information_oracles():
 
     # information matrix against the finite-difference curvature of the
     # expected negative log-likelihood, in relative-parameter coordinates
-    freqs = FORMULA_GRID.as_array()
+    freqs = FORMULA_GRID.frequencies
     theta0 = STATE_A.to_array()
     c = ERR.sigma_rel_mag
     phase_var = ERR.sigma_phase_rad**2

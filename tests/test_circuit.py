@@ -1,6 +1,7 @@
 """Model evaluation and analytic sensitivities."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -9,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from eisopt import (
     DomainError,
+    ErrorStructure,
     PARAMETER_NAMES,
     ParameterVector,
     STATE_A,
+    fisher_contributions,
     jacobian,
     model_polar,
 )
@@ -284,8 +287,31 @@ def test_jacobian_accepts_grid_objects():
 
     grid = log_spaced(100.0, 1.0, 3)
     jac = jacobian(STATE_A, grid)
-    assert jac.shape == (2 * grid.n, 11)
-    assert np.array_equal(jac, jacobian(STATE_A, grid.as_array()))
+    assert jac.shape == (2 * len(grid), 11)
+    assert np.array_equal(jac, jacobian(STATE_A, grid.frequencies))
+
+
+# The model, its Jacobian and the information pieces check their
+# frequencies alike, before numpy can warn or return NaN rows.
+@pytest.mark.parametrize("function", [
+    model_polar,
+    jacobian,
+    lambda theta, freqs: fisher_contributions(theta, freqs, ErrorStructure()),
+], ids=["model_polar", "jacobian", "fisher_contributions"])
+@pytest.mark.parametrize("freqs, message", [
+    ([0.0], "positive"),
+    ([-1.0], "positive"),
+    ([float("nan")], "positive"),
+    ([float("inf")], "finite"),
+    ([], "nonempty"),
+    ([1.0, -1.0], "positive"),
+    ([[1.0, 2.0], [3.0, 4.0]], "1-D"),
+])
+def test_bad_frequencies_raise_the_same_domain_error(function, freqs, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            function(STATE_A, np.array(freqs))
 
 
 def _bits(z):

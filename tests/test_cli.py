@@ -11,6 +11,7 @@ import eisopt.cli
 import eisopt.design
 from eisopt import (
     DesignConfig,
+    DomainError,
     ErrorStructure,
     FrequencyGrid,
     STATE_A,
@@ -28,6 +29,7 @@ from eisopt import (
     ellipsoid_log_volume,
 )
 from eisopt.cli import ENV_OUTPUT_DIR, main
+from eisopt.measurement import CSV_COLUMNS
 
 
 def _data_lines(path):
@@ -69,7 +71,7 @@ def test_synth_reruns_byte_identically(tmp_path):
 def test_synth_noiseless_matches_model(tmp_path):
     assert main(["synth", "--output-dir", str(tmp_path), "--noiseless"]) == 0
     spectrum = load_spectrum(tmp_path / "spectrum.csv")
-    mag, phase = model_polar(STATE_A, spectrum.frequencies)
+    mag, phase = model_polar(STATE_A, spectrum.grid.frequencies)
     assert np.array_equal(spectrum.mag_ohm, mag)
     # phase survives the on-disk degree representation only to the last ulp
     assert np.allclose(spectrum.phase_rad, phase, rtol=5e-16, atol=5e-16)
@@ -244,7 +246,7 @@ def test_design_remeasurement_noise_is_independent_of_the_sweep(tmp_path, monkey
     assert rc == 0 and len(spectra) == 1 and len(samples) == 1
 
     theta, spectrum = spectra[0]
-    sweep_noise = spectrum.mag_ohm[0] / model_polar(theta, spectrum.grid.as_array())[0][0] - 1.0
+    sweep_noise = spectrum.mag_ohm[0] / model_polar(theta, spectrum.grid.frequencies)[0][0] - 1.0
     theta, f_hz, (mag, *_) = samples[0]
     remeasure_noise = mag / model_polar(theta, np.array([f_hz]))[0][0] - 1.0
     # a shared stream would make the first re-measurement replay point 0's draw
@@ -361,6 +363,39 @@ def test_spectrum_json_that_disagrees_with_its_grid_is_format_error(tmp_path, co
     with pytest.raises(SpectrumFormatError, match="^bad spectrum JSON: "):
         load_spectrum(path)
     assert main(["fit", str(path), "--output-dir", str(tmp_path)]) == 2
+
+
+# A non-finite value in any data column must exit 2 naming the spectrum
+# array, whichever file form carries it: not a failed fit (inf magnitude),
+# not a complaint about a parameter (nan phase), and not a silently
+# zero-weighted point (inf sigma).
+_ARRAY_OF_COLUMN = {"mag_ohm": "mag_ohm", "phase_deg": "phase_rad",
+                    "sigma_mag_ohm": "sigma_mag_ohm", "sigma_phase_deg": "sigma_phase_rad"}
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("column", sorted(_ARRAY_OF_COLUMN))
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_non_finite_spectrum_value_is_usage_error(tmp_path, capsys, suffix, column, value):
+    path = tmp_path / f"spectrum{suffix}"
+    save_spectrum(synthesize(STATE_A, log_spaced_inclusive(1e4, 0.01, 10), ErrorStructure(),
+                             seed=4), path)
+    if suffix == ".json":
+        data = json.loads(path.read_text())
+        data["points"][3][column] = float(value)
+        path.write_text(json.dumps(data))
+    else:
+        lines = path.read_text().splitlines()
+        row = lines.index(_data_lines(path)[4])  # after the header row
+        cells = lines[row].split(",")
+        cells[CSV_COLUMNS.index(column)] = value
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+    message = f"{_ARRAY_OF_COLUMN[column]} must be finite"
+    with pytest.raises(SpectrumFormatError if suffix == ".json" else DomainError, match=message):
+        load_spectrum(path)
+    assert main(["fit", str(path), "--output-dir", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_unknown_fixture_is_usage_error(tmp_path):

@@ -35,7 +35,7 @@ def _noiseless(theta):
 
 def _objective(spectrum, theta):
     """The weighted least-squares objective at ``theta``."""
-    mag, phase = model_polar(theta, spectrum.frequencies)
+    mag, phase = model_polar(theta, spectrum.grid.frequencies)
     r = np.concatenate([
         (spectrum.mag_ohm - mag) / spectrum.sigma_mag_ohm,
         (spectrum.phase_rad - phase) / spectrum.sigma_phase_rad,
@@ -122,7 +122,7 @@ def test_estimate_invariant_to_common_sigma_rescaling():
 def test_fit_objective_matches_manual_sum(monkeypatch):
     # with no iterations, the fit reports the objective at its start
     spectrum = synthesize(STATE_A, GRID, ERR, seed=2)
-    mag, phase = model_polar(STATE_A, spectrum.frequencies)
+    mag, phase = model_polar(STATE_A, spectrum.grid.frequencies)
     manual = float(
         np.sum(((spectrum.mag_ohm - mag) / spectrum.sigma_mag_ohm) ** 2)
         + np.sum(((spectrum.phase_rad - phase) / spectrum.sigma_phase_rad) ** 2)
@@ -171,7 +171,7 @@ def test_series_resistance_seed_uses_minimal_imaginary_point():
     spectrum = _noiseless(STATE_A)
     start = initialize(spectrum)
     z = spectrum.impedance()
-    hf = spectrum.frequencies >= spectrum.frequencies[0] / 100.0
+    hf = spectrum.grid.frequencies >= spectrum.grid.frequencies[0] / 100.0
     expected = z.real[hf][np.argmin(np.abs(z.imag[hf]))]
     assert start.to_array()[0] == pytest.approx(expected, rel=1e-12)
 
@@ -212,7 +212,7 @@ def test_noisy_fits_stay_near_truth():
        seed=st.integers(0, 2**32 - 1))
 def test_objective_is_the_sum_of_squared_weighted_residuals(truth, theta, frequencies, seed):
     spectrum = synthesize(truth, FrequencyGrid(tuple(frequencies)), ERR, seed=seed)
-    z, _ = _impedance_and_gradient(theta.to_array(), 2.0 * np.pi * spectrum.frequencies)
+    z, _ = _impedance_and_gradient(theta.to_array(), 2.0 * np.pi * spectrum.grid.frequencies)
     r = np.concatenate([
         (spectrum.mag_ohm - np.abs(z)) / spectrum.sigma_mag_ohm,
         (spectrum.phase_rad - np.angle(z)) / spectrum.sigma_phase_rad,

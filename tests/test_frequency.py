@@ -24,7 +24,7 @@ from eisopt.frequency import MERGE_RTOL, _inclusive_frequencies
 
 def test_full_sweep_has_61_points():
     grid = log_spaced(1e4, 0.01, 10)
-    assert grid.n == 61
+    assert len(grid) == 61
     assert grid.f_start == 1e4
     assert abs(grid.f_end - 0.01) < 1e-12 * 0.01
 
@@ -37,8 +37,8 @@ def test_tenth_point_is_one_decade_down():
 def test_single_decade_five_ppd_closed_form():
     grid = log_spaced(1.0, 0.1, 5)
     expected = 10.0 ** (-np.arange(6) / 5.0)
-    assert grid.n == 6
-    assert np.allclose(grid.as_array(), expected, rtol=1e-12)
+    assert len(grid) == 6
+    assert np.allclose(grid.frequencies, expected, rtol=1e-12)
 
 
 def test_point_count_formula_over_random_spans():
@@ -49,18 +49,41 @@ def test_point_count_formula_over_random_spans():
         f_start = 10.0 ** rng.uniform(0, 4)
         f_end = f_start / 10.0**span
         grid = log_spaced(f_start, f_end, ppd)
-        assert grid.n == math.floor(1.5 + ppd * span)
-        logs = np.log10(grid.as_array())
+        assert len(grid) == math.floor(1.5 + ppd * span)
+        logs = np.log10(grid.frequencies)
         assert np.allclose(np.diff(logs), -1.0 / ppd, atol=1e-10)
 
 
 def test_inclusive_sweep_shares_endpoints_per_decade():
     grid = log_spaced_inclusive(1e4, 0.01, 10)
-    assert grid.n == 55
-    logs = np.log10(grid.as_array())
+    assert len(grid) == 55
+    logs = np.log10(grid.frequencies)
     assert np.allclose(np.diff(logs), -(1.0 / 9.0), atol=1e-12)
     assert grid.f_start == 1e4
     assert abs(grid.f_end - 0.01) < 1e-14
+
+
+def test_grid_frequencies_are_a_read_only_float64_copy():
+    source = np.array([100, 10, 1])  # integers, converted to float64
+    grid = FrequencyGrid(source)
+    assert grid.frequencies.dtype == np.float64 and grid.frequencies.shape == (3,)
+    with pytest.raises(ValueError):
+        grid.frequencies[1] = 5.0
+    source[1] = 50
+    assert grid.frequencies.tolist() == [100.0, 10.0, 1.0]
+    # the endpoints are Python floats, like every scalar a grid reports
+    assert type(grid.f_start) is float and type(grid.f_end) is float
+
+
+@pytest.mark.parametrize("freqs", [
+    [[100.0, 10.0], [1.0, 0.1]],
+    [[100.0, 10.0, 1.0]],
+    [1.0],
+    1.0,
+], ids=["2x2", "1x3", "one-point", "scalar"])
+def test_grid_needs_a_1d_array_of_two_points(freqs):
+    with pytest.raises(DomainError, match="1-D frequencies, at least 2"):
+        FrequencyGrid(freqs)
 
 
 def test_grid_rejects_bad_ranges():
@@ -86,7 +109,7 @@ def test_grid_rejects_bad_ranges():
 def test_reduce_matches_red_points_threshold_tenth_hz():
     grid = log_spaced_inclusive(1e4, 0.01, 10)
     reduced = reduce_ppd(grid, 0.1, 5)
-    low = reduced.as_array()[reduced.as_array() <= 0.1 * (1 + 1e-9)]
+    low = reduced.frequencies[reduced.frequencies <= 0.1 * (1 + 1e-9)]
     assert np.allclose(low, [0.1, 0.05623, 0.03162, 0.01778, 0.01], rtol=2e-4)
     assert np.allclose(low, 10.0 ** (-1 - np.arange(5) / 4.0), rtol=1e-12)
 
@@ -94,7 +117,7 @@ def test_reduce_matches_red_points_threshold_tenth_hz():
 def test_reduce_matches_red_points_threshold_one_hz():
     grid = log_spaced_inclusive(1e4, 0.01, 10)
     reduced = reduce_ppd(grid, 1.0, 5)
-    low = reduced.as_array()[reduced.as_array() <= 1.0 * (1 + 1e-9)]
+    low = reduced.frequencies[reduced.frequencies <= 1.0 * (1 + 1e-9)]
     assert np.allclose(low, 10.0 ** (-np.arange(9) / 4.0), rtol=1e-12)
     assert abs(low[1] - 0.56234) < 1e-4
     assert abs(low[3] - 0.17783) < 1e-4
@@ -102,7 +125,7 @@ def test_reduce_matches_red_points_threshold_one_hz():
 
 def test_reduce_identity_when_density_unchanged():
     for grid in (log_spaced(1e4, 0.01, 10), log_spaced_inclusive(1e4, 0.01, 10)):
-        assert reduce_ppd(grid, 0.1, 10).frequencies == grid.frequencies
+        assert np.array_equal(reduce_ppd(grid, 0.1, 10).frequencies, grid.frequencies)
 
 
 def test_reduce_never_increases_point_count():
@@ -112,18 +135,18 @@ def test_reduce_never_increases_point_count():
     for _ in range(30):
         ppd = int(rng.integers(2, 12))
         grid = log_spaced_inclusive(10.0 ** rng.uniform(2, 4), 10.0 ** rng.uniform(-2, 0), ppd)
-        threshold = float(rng.choice(grid.as_array()[1:-1]))
+        threshold = float(rng.choice(grid.frequencies[1:-1]))
         low = int(rng.integers(1, ppd + 1))
         reduced = reduce_ppd(grid, threshold, low)
-        assert reduced.n <= grid.n
-        upper = grid.as_array()[grid.as_array() > threshold * (1 + 1e-9)]
-        assert np.allclose(reduced.as_array()[: upper.size], upper, rtol=1e-12)
+        assert len(reduced) <= len(grid)
+        upper = grid.frequencies[grid.frequencies > threshold * (1 + 1e-9)]
+        assert np.allclose(reduced.frequencies[: upper.size], upper, rtol=1e-12)
 
 
 def test_reduce_merges_boundary_duplicates():
     grid = log_spaced_inclusive(1e4, 0.01, 10)
     reduced = reduce_ppd(grid, 0.1, 5)
-    freqs = reduced.as_array()
+    freqs = reduced.frequencies
     assert np.all(np.diff(np.log10(freqs)) < -1e-9)
     assert np.sum(np.isclose(freqs, 0.1, rtol=1e-9)) == 1
 
@@ -165,8 +188,8 @@ def _outcome(reduce, grid, f_threshold, ppd_low):
         out = reduce(grid, f_threshold, ppd_low)
     except DomainError as exc:
         return type(exc)
-    assert all(type(f) is float for f in out.frequencies)
-    return [f.hex() for f in out.frequencies], out.ppd_default
+    assert out.frequencies.dtype == np.float64 and not out.frequencies.flags.writeable
+    return [f.hex() for f in out.frequencies.tolist()], out.ppd_default
 
 
 # the near-duplicate junction: the low segment starts within MERGE_RTOL of
@@ -188,7 +211,7 @@ def test_reduce_is_bit_equal_to_the_list_reference(freqs, position, ppd, low):
     threshold = float(10.0 ** (math.log10(grid.f_end) + position * (
         math.log10(grid.f_start) - math.log10(grid.f_end))))
     threshold = min(max(threshold, grid.f_end), grid.f_start)
-    on_point = grid.frequencies[int(position * (grid.n - 1))]
+    on_point = grid.frequencies[int(position * (len(grid) - 1))]
     # just below a point, so that the low segment may start within
     # MERGE_RTOL of it
     junction = max(float(np.nextafter(on_point / (1.0 + MERGE_RTOL), 0.0)), grid.f_end)
@@ -267,7 +290,7 @@ def test_total_time_two_point_example():
 def test_total_time_decreases_when_any_frequency_rises():
     grid = log_spaced(100.0, 0.1, 3)
     base = total_time(grid, 5)
-    for i in range(1, grid.n - 1):
+    for i in range(1, len(grid) - 1):
         freqs = list(grid.frequencies)
         freqs[i] *= 1.01
         assert total_time(FrequencyGrid(tuple(freqs)), 5) < base
@@ -275,7 +298,7 @@ def test_total_time_decreases_when_any_frequency_rises():
 
 def test_total_time_additive_over_partition():
     grid = log_spaced(1e3, 0.1, 4)
-    freqs = grid.as_array()
+    freqs = grid.frequencies
     left = FrequencyGrid(tuple(freqs[:7]))
     right = FrequencyGrid(tuple(freqs[7:]))
     assert total_time(grid, 5) == pytest.approx(
@@ -285,7 +308,7 @@ def test_total_time_additive_over_partition():
 
 def test_lowest_decade_dominates_experiment_time():
     for grid in (log_spaced(1e4, 0.01, 10), log_spaced_inclusive(1e4, 0.01, 10)):
-        freqs = grid.as_array()
+        freqs = grid.frequencies
         t_all = total_time(grid, 5)
         in_lowest = freqs < 0.1 * (1 - 1e-9)
         t_low = 5.0 * np.sum(1.0 / freqs[in_lowest])

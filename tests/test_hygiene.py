@@ -2,7 +2,8 @@
 the standard library, NumPy and eisopt at module level, SciPy stays
 unloaded until a CRLB, only ``eisopt.measurement`` writes CSV or JSON
 files, every binding the benchmark's tracer wraps exists, and every public
-name has a use outside the tests."""
+name, and every public method or property of a public class, has a use
+outside the tests."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import pytest
@@ -181,21 +183,48 @@ def _names_read(tree):
             yield from (alias.name for alias in node.names)
 
 
-def _public_names_without_a_use(public, sources, readme):
+def _names_used(sources, readme):
     used = set(re.findall(r"\w+", readme))
     for source in sources:
         used.update(_names_read(ast.parse(source)))
-    return sorted(set(public) - used - _TESTED_ONLY_BY_DESIGN)
+    return used
+
+
+def _public_names_without_a_use(public, sources, readme):
+    return sorted(set(public) - _names_used(sources, readme) - _TESTED_ONLY_BY_DESIGN)
+
+
+def _public_members_without_a_use(classes, sources, readme):
+    """``Class.name`` of every public def, property or classmethod that a
+    class defines itself and no source reads by name."""
+    used = _names_used(sources, readme)
+    return sorted(
+        f"{cls.__name__}.{name}" for cls in classes for name, value in vars(cls).items()
+        if not name.startswith("_") and name not in used
+        and isinstance(value, (types.FunctionType, property, classmethod, staticmethod))
+    )
+
+
+def _sources_outside_the_tests():
+    paths = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
+    return ([p.read_text(encoding="utf-8") for p in paths],
+            (ROOT / "README.md").read_text(encoding="utf-8"))
 
 
 def test_every_public_name_is_used_outside_the_tests():
     import eisopt
 
-    paths = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
-    unused = _public_names_without_a_use(
-        eisopt.__all__, [p.read_text(encoding="utf-8") for p in paths],
-        (ROOT / "README.md").read_text(encoding="utf-8"))
+    unused = _public_names_without_a_use(eisopt.__all__, *_sources_outside_the_tests())
     assert unused == [], f"public names that only the tests use: {unused}"
+
+
+def test_every_public_method_is_used_outside_the_tests():
+    import eisopt
+
+    classes = [obj for obj in map(eisopt.__dict__.get, eisopt.__all__) if isinstance(obj, type)]
+    assert eisopt.FrequencyGrid in classes and eisopt.AdjustmentTrace in classes
+    unused = _public_members_without_a_use(classes, *_sources_outside_the_tests())
+    assert unused == [], f"public methods and properties that only the tests use: {unused}"
 
 
 def test_the_public_name_check_sees_uses_not_definitions():
@@ -210,3 +239,36 @@ def test_the_public_name_check_sees_uses_not_definitions():
               "unused_helper", "total_time", "jacobian"]
     assert _public_names_without_a_use(public, [source], "call `save_spectrum(s, path)`") == [
         "N_POINTS", "total_time", "unused_helper"]
+
+
+def test_the_public_method_check_sees_uses_not_definitions():
+    class Grid:
+        points = 3  # a class attribute, not a method
+
+        def __len__(self):
+            return 0
+
+        def _private(self):
+            return 0
+
+        def read(self):
+            return 0
+
+        def unread(self):
+            return 0
+
+        @property
+        def start(self):
+            return 0
+
+        @classmethod
+        def load(cls):
+            return cls()
+
+    # a def of the same name is a definition, not a use
+    source = textwrap.dedent("""
+        def unread(grid):
+            return grid.read() + grid.start
+    """)
+    assert _public_members_without_a_use([Grid], [source], "call `Grid.load()`") == [
+        "Grid.unread"]

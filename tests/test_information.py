@@ -80,7 +80,7 @@ def test_single_point_outer_product_structure():
 
 
 def test_additivity_over_disjoint_frequency_sets():
-    freqs = GRID.as_array()
+    freqs = GRID.frequencies
     a, b = freqs[::2], freqs[1::2]
     total = fisher(STATE_A, freqs, ERR).matrix
     split = fisher(STATE_A, a, ERR).matrix + fisher(STATE_A, b, ERR).matrix
@@ -90,12 +90,12 @@ def test_additivity_over_disjoint_frequency_sets():
 def test_contributions_sum_to_matrix():
     parts = fisher_contributions(STATE_A, GRID, ERR)
     fim = fisher(STATE_A, GRID, ERR)
-    assert parts.shape == (GRID.n, 11, 11)
+    assert parts.shape == (len(GRID), 11, 11)
     assert np.allclose(parts.sum(axis=0), fim.matrix, rtol=1e-12, atol=0.0)
 
 
 def test_variance_term_is_a_small_positive_addition():
-    off = _manual_fisher(STATE_A, GRID.as_array(), ERR, variance_term=False)
+    off = _manual_fisher(STATE_A, GRID.frequencies, ERR, variance_term=False)
     on = fisher(STATE_A, GRID, ERR).matrix
     delta = on - off
     assert np.all(np.linalg.eigvalsh(delta) >= -1e-9 * np.max(np.abs(delta)))
@@ -125,7 +125,7 @@ def test_crlb_of_embedded_coupled_block():
 
 def test_crlb_scales_as_sigma_squared_without_variance_term():
     def bound(err):
-        matrix = _manual_fisher(STATE_A, GRID.as_array(), err, variance_term=False)
+        matrix = _manual_fisher(STATE_A, GRID.frequencies, err, variance_term=False)
         return crlb(FisherMatrix(matrix, STATE_A))
 
     base = bound(ERR)
@@ -157,7 +157,7 @@ def test_crlb_positive_and_matrix_symmetric_for_random_parameters(rng):
 
 
 def test_adding_a_frequency_never_hurts():
-    short = GRID.as_array()[1:]
+    short = GRID.frequencies[1:]
     base = crlb(fisher(STATE_A, short, ERR))
     base_vol = ellipsoid_log_volume(fisher(STATE_A, short, ERR))
     full = crlb(fisher(STATE_A, GRID, ERR))
@@ -261,9 +261,9 @@ def test_one_eigendecomposition_per_report():
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(theta=thetas(), keep=st.sets(st.integers(0, GRID.n - 1), min_size=2))
+@given(theta=thetas(), keep=st.sets(st.integers(0, len(GRID) - 1), min_size=2))
 def test_thinning_the_sweep_never_sharpens_a_crlb(theta, keep):
-    thinned = fisher(theta, GRID.as_array()[sorted(keep)], ERR)
+    thinned = fisher(theta, GRID.frequencies[sorted(keep)], ERR)
     if theta.phi_lf == 0.0:
         # a CPE with exponent 0 is a resistor in series with R_s, so R_s
         # and Q_LF alias at every frequency set
@@ -387,7 +387,7 @@ def test_crlb_is_bit_equal_to_scipy_cholesky(theta, freqs):
     # the drawn points alone rarely bound eleven parameters; on top of the
     # sweep they give a gated matrix for every theta off phi_LF = 0
     try:
-        scale, scaled, _ = _factor(fisher(theta, np.concatenate([GRID.as_array(), freqs]), ERR))
+        scale, scaled, _ = _factor(fisher(theta, np.concatenate([GRID.frequencies, freqs]), ERR))
     except SingularInformationError:
         return
     cho = scipy.linalg.cho_factor(scaled, lower=True)
