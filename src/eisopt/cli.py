@@ -232,7 +232,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     save_spectrum(spectrum, csv_path)
     prov_path = csv_path.with_suffix(csv_path.suffix + ".provenance.json")
     write_json(prov_path, {"provenance": prov, "config": cfg})
-    print(f"wrote {csv_path} ({spectrum.n} rows) and {prov_path}")
+    print(f"wrote {csv_path} ({len(spectrum.grid)} rows) and {prov_path}")
     return 0
 
 

@@ -217,6 +217,32 @@ def _frozen_set(grid: FrequencyGrid, cfg: DesignConfig) -> set:
     return {0, len(grid) - 1} if cfg.freeze_endpoints else set()
 
 
+def _landing(grid: FrequencyGrid, cfg: DesignConfig, indices, targets: np.ndarray):
+    """Where moving point ``indices[k]`` to ``targets[k]`` (log10 Hz) lands,
+    and whether the loop may take that move; ``indices`` may be one index.
+
+    The one move rule of the scan and the climb.  A target is clamped into
+    the band from the floor (``min_frequency_hz``, else the grid's lowest
+    frequency) to the grid's highest frequency.  The landed probe is out
+    when it lies within ``MIN_SEPARATION_DECADES`` of another point, when
+    the clamp has put it within that distance of its own point (a clamped
+    move that goes nowhere), or when it would take the sweep over the time
+    budget.  Returns (landed log10 Hz, landed Hz as a list, admissible).
+    """
+    f_min = cfg.min_frequency_hz if cfg.min_frequency_hz is not None else grid.f_end
+    logs = np.minimum(np.maximum(targets, math.log10(f_min)), math.log10(grid.f_start))
+    probes = [10.0**x for x in logs.tolist()]
+    freqs = grid.frequencies
+    near = np.abs(np.log10(freqs)[:, None] - logs) < MIN_SEPARATION_DECADES
+    # an unclamped probe is never tested against its own point
+    near[indices, np.arange(len(logs))] &= logs != targets
+    ok = ~np.any(near, axis=0)
+    if cfg.time_budget_s is not None:
+        t_base = total_time(grid, cfg.n_p) - cfg.n_p / freqs[indices]
+        ok &= ~(t_base + cfg.n_p / np.array(probes) > cfg.time_budget_s)
+    return logs, probes, ok
+
+
 def _scan_ranking(ws: _EigenWorkspace, grid: FrequencyGrid, cfg: DesignConfig):
     """Free candidate indices, lazily, by decreasing improvement potential.
 
@@ -225,8 +251,11 @@ def _scan_ranking(ws: _EigenWorkspace, grid: FrequencyGrid, cfg: DesignConfig):
     decade over the two directions.  Scoring the achievable gain rather
     than the absolute change keeps the loop from re-polishing points
     already sitting on sharp local maxima, whose eigenvalue responds
-    strongly to perturbation but cannot be improved.  Equal scores order
-    by index, so the ranking does not depend on evaluation order.
+    strongly to perturbation but cannot be improved.  The probes land by
+    the climb's own rule (:func:`_landing`), and a probe the climb may not
+    take scores -inf, so a candidate with both probes out ranks last.
+    Equal scores order by index, so the ranking does not depend on
+    evaluation order.
 
     The ranking is certified rather than solved up front: one model
     evaluation gives every probe's Rayleigh bound and hence an upper bound
@@ -241,13 +270,14 @@ def _scan_ranking(ws: _EigenWorkspace, grid: FrequencyGrid, cfg: DesignConfig):
         raise DesignError("every grid frequency is frozen; nothing to scan")
     free = [i for i in range(len(grid)) if i not in frozen]
     step = SCAN_STEP_DECADES
-    probes = [
-        10.0 ** (math.log10(ws.freqs[i]) + sign * step)
-        for i in free
-        for sign in (1.0, -1.0)
-    ]
-    moved = ws._moved(np.repeat(free, 2), probes)
-    bounds = np.max((ws._bounds(moved).reshape(-1, 2) - ws.lambda_min) / step, axis=1)
+    indices = np.repeat(free, 2)
+    targets = np.array([
+        math.log10(ws.freqs[i]) + sign * step for i in free for sign in (1.0, -1.0)
+    ])
+    _, probes, ok = _landing(grid, cfg, indices, targets)
+    moved = ws._moved(indices, probes)
+    bounds = np.where(ok, ws._bounds(moved), -np.inf).reshape(-1, 2)
+    bounds = np.max((bounds - ws.lambda_min) / step, axis=1)
     bounds[np.isnan(bounds)] = np.inf  # proves nothing: solve it first
     unsolved = np.lexsort((free, -bounds)).tolist()
     pos = 0
@@ -262,7 +292,7 @@ def _scan_ranking(ws: _EigenWorkspace, grid: FrequencyGrid, cfg: DesignConfig):
         chunk = unsolved[pos:pos + _SCAN_CHUNK]
         pos += len(chunk)
         rows = (2 * np.array(chunk)[:, None] + (0, 1)).ravel()
-        lams = ws._solve(moved[rows]).reshape(-1, 2)
+        lams = np.where(ok[rows], ws._solve(moved[rows]), -np.inf).reshape(-1, 2)
         for k, score in zip(chunk, np.max((lams - ws.lambda_min) / step, axis=1)):
             nan = bool(np.isnan(score))
             heapq.heappush(solved, (nan, 0.0 if nan else -score, free[k]))
@@ -274,10 +304,12 @@ def adjust_frequency(ws: _EigenWorkspace, grid: FrequencyGrid, index: int,
     of the workspace's matrix.
 
     Returns (new_frequency_hz, status, lambda_min) with status one of
-    "adjusted", "floor-limited" (the improving direction ran into the
+    "adjusted", "floor-limited" (a probe of the climb was clamped at the
     frequency floor or band edge) or "stalled" (no improving move even at
     the smallest step; the frequency and the eigenvalue are returned
     unchanged).  ``lambda_min`` is the solved eigenvalue after the move.
+    Every probe lands, or is out, by :func:`_landing`, the rule the scan
+    ranks candidates by.
 
     From a fixed point the climb tries shrinking steps until one gains, so
     each such run of probes is one batched ladder against a fixed
@@ -292,31 +324,19 @@ def adjust_frequency(ws: _EigenWorkspace, grid: FrequencyGrid, index: int,
     if index in _frozen_set(grid, cfg):
         raise DesignError(f"frequency index {index} is frozen")
     freqs = ws.freqs
-    f_min = cfg.min_frequency_hz if cfg.min_frequency_hz is not None else grid.f_end
-    log_lo = math.log10(f_min)
-    log_hi = math.log10(grid.f_start)
-    others = np.delete(np.log10(freqs), index)[:, None]
-    t_base = (total_time(grid, cfg.n_p) - cfg.n_p / freqs[index]
-              if cfg.time_budget_s is not None else None)
     clamped = False
 
     def ladder(origin, lam, step, signs):
-        """(log f, eigenvalue, step, sign) of the best move at the first
-        shrink level from ``step`` down that beats ``lam``, or None.
-
-        A probe is clamped to the band, and is out when it would collide
-        with another point or exceed the time budget."""
+        """(log f, eigenvalue, step, sign) of the best admissible move at
+        the first shrink level from ``step`` down that beats ``lam``, or
+        None."""
         nonlocal clamped
         steps = []
         while step >= CLIMB_STOP_DECADES:
             steps.append(step)
             step *= CLIMB_SHRINK
         targets = np.array([origin + sign * s for s in steps for sign in signs])
-        logs = np.minimum(np.maximum(targets, log_lo), log_hi)
-        probes = [10.0**x for x in logs.tolist()]
-        ok = ~np.any(np.abs(others - logs) < MIN_SEPARATION_DECADES, axis=0)
-        if t_base is not None:
-            ok &= ~(t_base + cfg.n_p / np.array(probes) > cfg.time_budget_s)
+        logs, probes, ok = _landing(grid, cfg, index, targets)
         lams = np.full(len(logs), -np.inf)
         if ok.any():
             lams[ok] = ws.lambdas_with_moves(

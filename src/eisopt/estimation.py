@@ -145,7 +145,7 @@ def fit_wcnls(spectrum: Spectrum, theta_start: ParameterVector) -> FitResult:
     convergence measures have not triggered.
     """
     omega = 2.0 * np.pi * spectrum.grid.frequencies
-    n = spectrum.n
+    n = len(spectrum.grid)
     sigma_mag = spectrum.sigma_mag_ohm[:, None]
     sigma_phase = spectrum.sigma_phase_rad[:, None]
     # The weighted Jacobian in internal coordinates at the current iterate;
@@ -269,7 +269,7 @@ def initialize(spectrum: Spectrum) -> ParameterVector:
     high-frequency tail, the arcs and the diffusion branch are separable.
     """
     f = spectrum.grid.frequencies
-    n = spectrum.n
+    n = len(spectrum.grid)
     if n < 10 or math.log10(f[0] / f[-1]) < 3.0:
         raise InitializationError(
             "spectrum too narrow to segment: need >= 10 points spanning "

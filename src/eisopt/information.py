@@ -83,13 +83,16 @@ def _point_weights(err: ErrorStructure, mag: np.ndarray):
 
 def _contributions(theta: ParameterVector, freqs_hz: np.ndarray,
                    err: ErrorStructure) -> np.ndarray:
-    z, dz = _impedance_and_gradient(theta.to_array(), 2.0 * np.pi * freqs_hz)
-    mag, dmag, dphase = _polar_sensitivities(z, dz)
-    w_mag, w_phase = _point_weights(err, mag)
-    # (w d_j) d_k per point: the products of einsum("i,ij,ik->ijk", ...),
-    # in the same order, without its per-call set-up
-    out = (w_mag[:, None] * dmag)[:, :, None] * dmag[:, None, :]
-    out += (w_phase * dphase)[:, :, None] * dphase[:, None, :]
+    # An extreme theta overflows to inf or NaN here; the factorization
+    # reports that as a typed error, so NumPy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, dz = _impedance_and_gradient(theta.to_array(), 2.0 * np.pi * freqs_hz)
+        mag, dmag, dphase = _polar_sensitivities(z, dz)
+        w_mag, w_phase = _point_weights(err, mag)
+        # (w d_j) d_k per point: the products of einsum("i,ij,ik->ijk", ...),
+        # in the same order, without its per-call set-up
+        out = (w_mag[:, None] * dmag)[:, :, None] * dmag[:, None, :]
+        out += (w_phase * dphase)[:, :, None] * dphase[:, None, :]
     return out
 
 
@@ -120,7 +123,8 @@ def _factor(fim: FisherMatrix):
     """D = diag(|theta|) as a vector, D F D and its ascending eigenvalues,
     once D F D passes the positive-definiteness gate."""
     scale = _unit_scale(fim.theta)
-    scaled = fim.matrix * np.outer(scale, scale)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
+        scaled = fim.matrix * np.outer(scale, scale)
     try:
         eigvals = np.linalg.eigvalsh(scaled)
     except np.linalg.LinAlgError as exc:

@@ -98,10 +98,6 @@ class Spectrum:
         if not (np.all(self.sigma_mag_ohm > 0.0) and np.all(self.sigma_phase_rad > 0.0)):
             raise DomainError("per-point standard deviations must be positive")
 
-    @property
-    def n(self) -> int:
-        return len(self.grid)
-
     def impedance(self) -> np.ndarray:
         return self.mag_ohm * np.exp(1j * self.phase_rad)
 
@@ -116,7 +112,7 @@ class Spectrum:
     ) -> "Spectrum":
         """Swap one sample for a measurement at a new frequency; the point
         count is preserved and the decreasing-frequency order restored."""
-        if not 0 <= index < self.n:
+        if not 0 <= index < len(self.grid):
             raise DomainError(f"point index {index} out of range")
         freqs = self.grid.frequencies.copy()
         mag = self.mag_ohm.copy()

@@ -46,7 +46,7 @@ def test_synth_writes_sixty_one_rows(tmp_path):
     assert csv_path.exists()
     assert len(_data_lines(csv_path)) == 1 + 61  # header + data
     spectrum = load_spectrum(csv_path)
-    assert spectrum.n == 61
+    assert len(spectrum.grid) == 61
     prov = json.loads((tmp_path / "spectrum.csv.provenance.json").read_text())
     assert prov["provenance"]["seed"] == 0
     assert len(prov["provenance"]["config_hash"]) == 12
@@ -661,7 +661,7 @@ def test_every_common_flag_sets_its_config_key(tmp_path):
     assert cfg["n_p"] == 3
     assert cfg["output_dir"] == str(tmp_path)
     # 1000 Hz to 0.1 Hz at 8 points per decade, both ends included
-    assert load_spectrum(tmp_path / "spectrum.csv").n == 33
+    assert len(load_spectrum(tmp_path / "spectrum.csv").grid) == 33
 
 
 def test_flags_of_one_run_do_not_carry_into_the_next(tmp_path):

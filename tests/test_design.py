@@ -33,6 +33,7 @@ from eisopt import (
 import eisopt.design
 from eisopt.design import (
     CLIMB_STEP_DECADES,
+    CLIMB_STOP_DECADES,
     SCAN_STEP_DECADES,
     _EigenWorkspace,
     _frozen_set,
@@ -63,7 +64,12 @@ class _StubWorkspace:
 
 
 def _oracle_ranking(theta, grid, err):
-    """Exhaustive scores recomputed with full information matrices."""
+    """Exhaustive scores recomputed with full information matrices, for
+    every point of a grid without frequency floor or time budget.
+
+    A probe is clamped into the band; one the climb may not take (within
+    the minimum separation of another point, or clamped back onto its
+    own) scores -inf."""
     scale = np.abs(theta.to_array())
     outer = np.outer(scale, scale)
 
@@ -72,13 +78,21 @@ def _oracle_ranking(theta, grid, err):
         return float(np.linalg.eigvalsh(m * outer)[0])
 
     freqs = grid.frequencies
+    log_f = np.log10(freqs)
     lam0 = lam(freqs)
     scores = {}
     for i in range(len(freqs)):
         best = -np.inf
         for sign in (1.0, -1.0):
+            target = log_f[i] + sign * SCAN_STEP_DECADES
+            landed = min(max(target, log_f[-1]), log_f[0])
+            gaps = np.abs(log_f - landed)
+            if landed == target:
+                gaps[i] = np.inf  # only a clamped probe can land on its own point
+            if np.any(gaps < eisopt.design.MIN_SEPARATION_DECADES):
+                continue
             moved = freqs.copy()
-            moved[i] = 10.0 ** (np.log10(freqs[i]) + sign * SCAN_STEP_DECADES)
+            moved[i] = 10.0**landed
             best = max(best, (lam(moved) - lam0) / SCAN_STEP_DECADES)
         scores[i] = best
     order = sorted(scores, key=lambda i: (-scores[i], i))
@@ -196,6 +210,32 @@ def test_climb_respects_time_budget():
     assert f_new == pytest.approx(grid.frequencies[4], rel=1e-15)
 
 
+def test_a_clamp_back_onto_the_point_is_no_move():
+    # Rounding can make the move of a point onto itself look like a gain;
+    # a probe the clamp puts back onto its own point is out, so the climb
+    # stalls instead of re-measuring the point where it already is.
+    last = len(COARSE) - 1
+    cases = [
+        (DesignConfig(freeze_endpoints=False), 0, lambda lf: lf),  # up, past f_start
+        (DesignConfig(freeze_endpoints=False), last, lambda lf: -lf),  # down, past f_end
+        (DesignConfig(min_frequency_hz=COARSE.frequencies[4]), 4, lambda lf: -lf),  # the floor
+    ]
+    for cfg, index, fn in cases:
+        stub = _StubWorkspace(COARSE, index, fn)
+        stub.lambda_min -= 1e-12  # a rounding-level gain for the move in place
+        f_new, status, _ = adjust_frequency(stub, COARSE, index, cfg)
+        assert (f_new, status) == (COARSE.frequencies[index], "stalled")
+
+
+def test_scan_ranks_a_candidate_without_an_admissible_probe_last():
+    # an exact budget forbids every move down, and the top point's move up
+    # clamps back onto itself
+    cfg = DesignConfig(freeze_endpoints=False, time_budget_s=total_time(COARSE, 5))
+    ws = _EigenWorkspace(STATE_A, COARSE, ERR)
+    assert list(_scan_ranking(ws, COARSE, cfg))[-1] == 0
+    assert adjust_frequency(ws, COARSE, 0, cfg)[1] == "stalled"
+
+
 def _sequential_climb(grid, index, cfg, ws):
     """Reference climb asking one what-if at a time, in the order a plain
     sequential search asks them; the step constants are read at call time,
@@ -205,6 +245,7 @@ def _sequential_climb(grid, index, cfg, ws):
     floor = cfg.min_frequency_hz if cfg.min_frequency_hz is not None else grid.f_end
     log_lo, log_hi = math.log10(floor), math.log10(grid.f_start)
     others = np.delete(np.log10(freqs), index)
+    own = np.log10(freqs)[index]
     clamped = False
 
     def try_move(log_f):
@@ -212,6 +253,9 @@ def _sequential_climb(grid, index, cfg, ws):
         log_c = min(max(log_f, log_lo), log_hi)
         clamped = clamped or log_c != log_f
         if np.any(np.abs(others - log_c) < d.MIN_SEPARATION_DECADES):
+            return None, None
+        # a clamp back onto the point's own frequency goes nowhere
+        if log_c != log_f and abs(own - log_c) < d.MIN_SEPARATION_DECADES:
             return None, None
         if cfg.time_budget_s is not None:
             t_new = total_time(grid, cfg.n_p) - cfg.n_p / freqs[index] + cfg.n_p / 10.0**log_c
@@ -330,10 +374,18 @@ def test_lazy_ranking_equals_exhaustive_ranking(theta, grid):
     cfg = DesignConfig(freeze_endpoints=False)
     ws = _EigenWorkspace(theta, grid, ERR)
     lazy = list(_scan_ranking(ws, grid, cfg))
-    # the same scores solved for every candidate at once
+    # the same scores solved for every candidate at once: probes clamped
+    # into the band, and -inf for one the climb may not take
     step = SCAN_STEP_DECADES
-    probes = [10.0 ** (math.log10(f) + sign * step) for f in ws.freqs for sign in (1.0, -1.0)]
-    lams = ws._solve(ws._moved(np.repeat(np.arange(len(grid)), 2), probes))
+    log_f = np.log10(grid.frequencies)
+    targets = np.array([math.log10(f) + sign * step for f in ws.freqs for sign in (1.0, -1.0)])
+    landed = np.clip(targets, math.log10(grid.f_end), math.log10(grid.f_start))
+    gaps = np.abs(log_f[:, None] - landed)
+    own = (np.repeat(np.arange(len(grid)), 2), np.arange(len(landed)))
+    gaps[own] = np.where(landed == targets, np.inf, gaps[own])
+    out = np.any(gaps < eisopt.design.MIN_SEPARATION_DECADES, axis=0)
+    lams = ws._solve(ws._moved(own[0], [10.0**x for x in landed.tolist()]))
+    lams[out] = -np.inf
     scores = np.max((lams.reshape(-1, 2) - ws.lambda_min) / step, axis=1)
     assert lazy == np.lexsort((np.arange(len(grid)), -scores)).tolist()
     # Against full recomputation the order holds up to rounding-level ties:
@@ -354,12 +406,24 @@ def test_lazy_ranking_equals_exhaustive_ranking(theta, grid):
 def test_climb_matches_sequential_climb_over_the_domain(theta, grid, data):
     budget = data.draw(st.sampled_from((None, 1.01)))
     separation = data.draw(st.sampled_from((1e-6, 0.05)))
-    cfg = DesignConfig(time_budget_s=None if budget is None else budget * total_time(grid, 5))
+    frozen = data.draw(st.booleans())
+    cfg = DesignConfig(
+        time_budget_s=None if budget is None else budget * total_time(grid, 5),
+        min_frequency_hz=data.draw(st.sampled_from((None, 0.03))),
+        freeze_endpoints=frozen,
+    )
+    free = st.integers(1, len(grid) - 2) if frozen else st.integers(0, len(grid) - 1)
     ws = _EigenWorkspace(theta, grid, ERR)
     with mock.patch.object(eisopt.design, "MIN_SEPARATION_DECADES", separation):
-        for index in data.draw(st.lists(st.integers(1, len(grid) - 2), min_size=1, max_size=4)):
+        for index in data.draw(st.lists(free, min_size=1, max_size=4)):
             got = adjust_frequency(ws, grid, index, cfg)
             assert got == _sequential_climb(grid, index, cfg, ws)
+            if got[1] != "stalled":
+                # No self-moves: a clamp back onto the point is out, and an
+                # unclamped move is at least one climb step, of 1.95e-4
+                # decade or more, which a patched separation may exceed.
+                moved = abs(math.log10(got[0]) - math.log10(grid.frequencies[index]))
+                assert moved >= min(separation, CLIMB_STOP_DECADES)
 
 
 # ---------------------------------------------------------------------------
@@ -604,20 +668,35 @@ def test_trace_serialization_round_trip(tmp_path):
 # sha256 prefixes of the JSONL and CSV trace files, recorded on this
 # platform like the fit and sweep-cell pins: a different BLAS/LAPACK or CPU
 # may need them re-recorded.  A change that keeps the numbers keeps these.
+# At 20 iterations STATE_B-unfrozen and every STATE_A constraint leave the
+# default run's bits; the other two constraints steer STATE_B elsewhere.
 _BIT_STABLE_TRACES = {
     "STATE_A": ("edc96d5981146e42", "6e0031bb9d1bc410"),
     "STATE_B": ("5c6b4d1e866e5423", "a68a0b4f82227501"),
+    "STATE_A-unfrozen": ("edc96d5981146e42", "6e0031bb9d1bc410"),
+    "STATE_B-unfrozen": ("5c6b4d1e866e5423", "a68a0b4f82227501"),
+    "STATE_A-floor": ("edc96d5981146e42", "6e0031bb9d1bc410"),
+    "STATE_B-floor": ("bd5eb583890c83a4", "b2942187e48e7b99"),
+    "STATE_A-budget": ("edc96d5981146e42", "6e0031bb9d1bc410"),
+    "STATE_B-budget": ("83140bfe1069db80", "800278ab841d892b"),
 }
 
 
-@pytest.mark.parametrize("state", sorted(_BIT_STABLE_TRACES))
-def test_design_traces_are_bit_stable(state, tmp_path):
+@pytest.mark.parametrize("case", sorted(_BIT_STABLE_TRACES))
+def test_design_traces_are_bit_stable(case, tmp_path):
+    state, _, constraint = case.partition("-")
     theta = {"STATE_A": STATE_A, "STATE_B": STATE_B}[state]
-    spectrum = synthesize(theta, reduce_ppd(BASELINE, 0.1, 7), ERR, seed=3)
-    trace = run_design(spectrum, theta, DesignConfig(max_iterations=20), err=ERR,
-                       reference_grid=BASELINE, seed=4)
+    grid = reduce_ppd(BASELINE, 0.1, 7)
+    cfg = DesignConfig(max_iterations=20, **{
+        "": {},
+        "unfrozen": {"freeze_endpoints": False},
+        "floor": {"min_frequency_hz": 0.03},
+        "budget": {"time_budget_s": 1.02 * total_time(grid, 5)},
+    }[constraint])
+    spectrum = synthesize(theta, grid, ERR, seed=3)
+    trace = run_design(spectrum, theta, cfg, err=ERR, reference_grid=BASELINE, seed=4)
     trace.save_jsonl(tmp_path / "trace.jsonl")
     trace.save_csv(tmp_path / "trace.csv")
     got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
                 for name in ("trace.jsonl", "trace.csv"))
-    assert got == _BIT_STABLE_TRACES[state]
+    assert got == _BIT_STABLE_TRACES[case]

@@ -136,7 +136,7 @@ def test_fit_objective_matches_manual_sum(monkeypatch):
 def test_weighted_residuals_exposed():
     spectrum = synthesize(STATE_A, GRID, ERR, seed=2)
     result = fit_wcnls(spectrum, STATE_A)
-    assert result.weighted_residuals.shape == (2 * spectrum.n,)
+    assert result.weighted_residuals.shape == (2 * len(spectrum.grid),)
     assert float(np.sum(result.weighted_residuals**2)) == pytest.approx(
         result.objective, rel=1e-12
     )

@@ -1,9 +1,10 @@
 """Source hygiene: every module uses each name it imports and imports only
 the standard library, NumPy and eisopt at module level, SciPy stays
 unloaded until a CRLB, only ``eisopt.measurement`` writes CSV or JSON
-files, every binding the benchmark's tracer wraps exists, and every public
-name, and every public method or property of a public class, has a use
-outside the tests."""
+files, one function of ``eisopt.design`` holds the loop's move rule, every
+binding the benchmark's tracer wraps exists, and every public name, and
+every public method or property of a public class, has a use outside the
+tests."""
 
 import ast
 import importlib
@@ -139,6 +140,64 @@ def test_only_measurement_writes_csv_or_json(path):
 def test_the_writer_check_sees_the_shared_writers():
     tree = ast.parse((SRC / "measurement.py").read_text(encoding="utf-8"))
     assert len(list(_writer_uses(tree))) == 2
+
+
+# The design loop's move rule has one home: outside DesignConfig, one
+# function of eisopt.design reads the separation, the floor and the time
+# budget, so the scan cannot rank moves that the climb may not make.
+_MOVE_RULE_NAMES = {"MIN_SEPARATION_DECADES", "min_frequency_hz", "time_budget_s"}
+
+
+def _move_rule_readers(tree):
+    """Sorted names of the top-level functions and methods (``Class.name``,
+    DesignConfig's excepted) that read a name of the move rule, as a
+    variable or an attribute; a read outside any function is ``<module>``."""
+
+    def reads(node):
+        return any(
+            isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+            and (n.id if isinstance(n, ast.Name) else n.attr) in _MOVE_RULE_NAMES
+            for n in ast.walk(node)
+        )
+
+    readers = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            if node.name != "DesignConfig":
+                readers.update(f"{node.name}.{item.name}" for item in node.body
+                               if isinstance(item, ast.FunctionDef) and reads(item))
+        elif reads(node):
+            readers.add(node.name if isinstance(node, ast.FunctionDef) else "<module>")
+    return sorted(readers)
+
+
+def test_one_function_holds_the_design_move_rule():
+    tree = ast.parse((SRC / "design.py").read_text(encoding="utf-8"))
+    readers = _move_rule_readers(tree)
+    assert len(readers) == 1, f"eisopt.design reads the move rule in {readers}"
+
+
+def test_the_move_rule_check_sees_every_reader():
+    tree = ast.parse(textwrap.dedent("""
+        MIN_SEPARATION_DECADES = 1e-6
+        class DesignConfig:
+            def __post_init__(self):
+                return self.time_budget_s
+        class Workspace:
+            def probe(self, cfg):
+                return cfg.min_frequency_hz
+            def solve(self, cfg):
+                return cfg.n_p
+        def scan(cfg):
+            def inner():
+                return MIN_SEPARATION_DECADES
+            return inner
+        def climb(cfg, min_frequency_hz):
+            cfg.time_budget_s = None
+            return cfg.n_p
+        LIMIT = 2 * MIN_SEPARATION_DECADES
+    """))
+    assert _move_rule_readers(tree) == ["<module>", "Workspace.probe", "scan"]
 
 
 def _tracer_bindings():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -301,7 +302,6 @@ def test_fisher_rejects_non_finite_frequencies():
             fisher_contributions(STATE_A, np.array(freqs), ERR)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_information_is_a_singular_error():
     # an admissible theta whose information matrix overflows: the
     # factorization reports it as singular, not as a LAPACK failure
@@ -310,6 +310,20 @@ def test_non_finite_information_is_a_singular_error():
     for derive in (crlb, ellipsoid_log_volume, uncertainty_report):
         with pytest.raises(SingularInformationError):
             derive(fim)
+
+
+@pytest.mark.parametrize("extreme", [
+    {"r_1": 1e200}, {"q_hf": 1e300}, {"q_lf": 1e300}, {"r_s": 1e300},
+], ids=lambda kw: "-".join(kw))
+def test_extreme_parameters_raise_a_typed_error_without_warnings(extreme):
+    # overflow inside the model or the scaling is reported once, by the
+    # typed error, not first by NumPy's RuntimeWarnings
+    theta = replace(STATE_A, **extreme)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for derive in (crlb, ellipsoid_log_volume, uncertainty_report):
+            with pytest.raises(SingularInformationError):
+                derive(fisher(theta, GRID, ERR))
 
 
 # ---------------------------------------------------------------------------
