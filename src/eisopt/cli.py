@@ -444,8 +444,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FitError, SingularInformationError, np.linalg.LinAlgError,
-            FloatingPointError) as exc:
+    except (FitError, SingularInformationError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except (DomainError, SpectrumFormatError, InitializationError, DesignError,

@@ -32,7 +32,7 @@ from .estimation import fit_wcnls, initialize
 from .frequency import FrequencyGrid, _count, total_time
 from .information import (
     FisherMatrix,
-    _unit_scale,
+    _scaled,
     ellipsoid_log_volume,
     fisher,
     fisher_contributions,
@@ -57,7 +57,8 @@ class DesignConfig:
     """The experiment's constraints on the adjustment loop."""
 
     max_iterations: int = 60
-    # Hard floor for any frequency; None means the grid's lowest frequency.
+    # Lowest frequency a move may land on; None means the grid's lowest
+    # frequency.  Start-grid points below it stay until they are moved.
     min_frequency_hz: float | None = None
     # Optional cap on the sweep duration of every iteration's grid.
     time_budget_s: float | None = None
@@ -165,7 +166,8 @@ class _EigenWorkspace:
 
     ``fim`` is the grid's information matrix, built exactly as
     :func:`fisher` builds it, so the loop's volume needs no second model
-    evaluation.
+    evaluation.  D M D comes from the reports' own scaling, which refuses a
+    matrix that is not finite but keeps a singular one.
     """
 
     def __init__(self, theta: ParameterVector, grid: FrequencyGrid, err: ErrorStructure):
@@ -175,10 +177,8 @@ class _EigenWorkspace:
         self.parts = fisher_contributions(theta, grid, err)
         self.total = np.sum(self.parts, axis=0)
         self.fim = FisherMatrix(self.total, theta)
-        scale = _unit_scale(theta)
+        scale, scaled, eigvals = _scaled(self.total, theta)
         self._outer = np.outer(scale, scale)
-        scaled = self.total * self._outer
-        eigvals = np.linalg.eigvalsh(scaled)
         self.lambda_min = float(eigvals[0])
         self._u = scale * np.linalg.eigh(scaled)[1][:, 0]
         self._slack = _BOUND_SLACK * eigvals[-1]
@@ -223,14 +223,17 @@ def _landing(grid: FrequencyGrid, cfg: DesignConfig, indices, targets: np.ndarra
 
     The one move rule of the scan and the climb.  A target is clamped into
     the band from the floor (``min_frequency_hz``, else the grid's lowest
-    frequency) to the grid's highest frequency.  The landed probe is out
-    when it lies within ``MIN_SEPARATION_DECADES`` of another point, when
-    the clamp has put it within that distance of its own point (a clamped
-    move that goes nowhere), or when it would take the sweep over the time
-    budget.  Returns (landed log10 Hz, landed Hz as a list, admissible).
+    frequency) to the grid's highest frequency, on the first log10 value
+    whose power of ten is not below the floor.  The landed probe is out when
+    it lies within ``MIN_SEPARATION_DECADES`` of another point, when the
+    clamp has put it within that distance of its own point (a clamped move
+    that goes nowhere), or when it would take the sweep over the time budget.  Returns (landed log10 Hz, landed Hz as a list, admissible).
     """
     f_min = cfg.min_frequency_hz if cfg.min_frequency_hz is not None else grid.f_end
-    logs = np.minimum(np.maximum(targets, math.log10(f_min)), math.log10(grid.f_start))
+    log_min = math.log10(f_min)
+    while 10.0**log_min < f_min:  # 10**log10(0.03) is a rounding step below 0.03
+        log_min = math.nextafter(log_min, math.inf)
+    logs = np.minimum(np.maximum(targets, log_min), math.log10(grid.f_start))
     probes = [10.0**x for x in logs.tolist()]
     freqs = grid.frequencies
     near = np.abs(np.log10(freqs)[:, None] - logs) < MIN_SEPARATION_DECADES
@@ -384,28 +387,29 @@ def run_design(
     seeds the re-measurement noise.  The trace records iteration 0 (the
     evaluation of the unmodified grid) and one row per adjustment.
 
-    A refit that fails or leaves the information matrix singular ends the
-    trace early (see ``terminated``).  When the initial fit already leaves
-    it singular there is no row to end the trace at, so
+    The initial fit and every refit take one step: fit, then the estimate's
+    workspace and trace row.  A refit that fails, or whose information matrix
+    is singular or not finite, ends the trace early (see ``terminated``).
+    When the initial fit does so there is no row to end the trace at, so
     :class:`SingularInformationError` is raised with its message prefixed
     ``"initial fit: "``.
     """
     rng = np.random.default_rng(seed)
 
-    def row(iteration, status, index, f_before, f_after, lam_before, lam_after):
-        """The trace row of the current workspace and spectrum."""
+    def fit_row(theta0, iteration, status, move=None):
+        """Workspace and trace row of a fit from ``theta0``.  ``move`` is
+        (index, f_before, f_after, lambda_before, lambda_after), else none."""
+        ws = _EigenWorkspace(fit_wcnls(spectrum, theta0).theta, spectrum.grid, err)
         logv = ellipsoid_log_volume(ws.fim)
         logv_ref = ellipsoid_log_volume(fisher(ws.theta, reference_grid, err))
-        return AdjustmentStep(
-            iteration, status, index, f_before, f_after, lam_before, lam_after,
+        return ws, AdjustmentStep(
+            iteration, status, *(move or (None, None, None, ws.lambda_min, ws.lambda_min)),
             logv, logv_ref, math.exp(logv - logv_ref),
             total_time(spectrum.grid, cfg.n_p), ws.theta, spectrum.grid,
         )
 
-    theta_hat = fit_wcnls(spectrum, initialize(spectrum)).theta
-    ws = _EigenWorkspace(theta_hat, spectrum.grid, err)
     try:
-        steps = [row(0, "initial", None, None, None, ws.lambda_min, ws.lambda_min)]
+        ws, step = fit_row(initialize(spectrum), 0, "initial")
     except SingularInformationError as exc:
         # No trace row exists yet, so there is no trace to end: say which
         # fit collapsed and keep the diagnostics.
@@ -414,6 +418,7 @@ def run_design(
             lambda_min=exc.lambda_min,
             condition_number=exc.condition_number,
         ) from exc
+    steps = [step]
     terminated = "max_iterations"
 
     for iteration in range(1, cfg.max_iterations + 1):
@@ -428,27 +433,23 @@ def run_design(
         if index is None:
             terminated = "stalled"
             break
-        f_old = spectrum.grid.frequencies[index]
-        lam_before = ws.lambda_min
+        f_old = float(spectrum.grid.frequencies[index])
 
         mag, phase, smag, sphase = measure_at(
             theta_true_for_simulation, f_new, err, rng
         )
         spectrum = spectrum.with_replaced_point(index, f_new, mag, phase, smag, sphase)
+        # A refit can fail, or collapse an arc (R -> 0, Q -> inf) and leave
+        # the information matrix singular or not finite; the trace ends there.
         try:
-            theta_hat = fit_wcnls(spectrum, theta_hat).theta
+            ws, step = fit_row(ws.theta, iteration, status,
+                               (index, f_old, f_new, ws.lambda_min, lam_after))
         except FitError as exc:
             terminated = f"fit_error: {exc}"
             break
-
-        ws = _EigenWorkspace(theta_hat, spectrum.grid, err)
-        # A refit can collapse an arc (R -> 0, Q -> inf) and leave the
-        # information matrix singular; the trace ends there like a failed fit.
-        try:
-            steps.append(row(iteration, status, index, float(f_old), float(f_new),
-                             lam_before, lam_after))
         except SingularInformationError as exc:
             terminated = f"singular_information: {exc}"
             break
+        steps.append(step)
 
     return AdjustmentTrace(steps=tuple(steps), terminated=terminated)

@@ -23,7 +23,8 @@ are loaded from SciPy on first use rather than with this module, so that
 importing eisopt, synthesizing, fitting and the design loop never load
 SciPy; loading them late leaves the bounds' bits as they are.  A
 matrix that is not finite, such as the overflowed information of an
-extreme but admissible theta, is reported as singular.
+extreme but admissible theta, is reported as singular, by the reports and
+by the design loop's what-if workspace alike, before LAPACK sees it.
 """
 
 from __future__ import annotations
@@ -115,23 +116,23 @@ def fisher(theta: ParameterVector, grid, err: ErrorStructure) -> FisherMatrix:
     return FisherMatrix(np.sum(parts, axis=0), theta)
 
 
-def _unit_scale(theta: ParameterVector) -> np.ndarray:
-    return np.abs(theta.to_array())
+def _scaled(matrix: np.ndarray, theta: ParameterVector):
+    """D = diag(|theta|) as a vector, D M D and its ascending eigenvalues.
+    A D M D that is not finite raises; a singular one does not.  Every
+    report and the design loop's what-if kernel scale here."""
+    scale = np.abs(theta.to_array())
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
+        scaled = matrix * np.outer(scale, scale)
+        finite = np.isfinite(scaled).all()
+    if not finite:
+        raise SingularInformationError("information matrix is not finite")
+    return scale, scaled, np.linalg.eigvalsh(scaled)
 
 
 def _factor(fim: FisherMatrix):
-    """D = diag(|theta|) as a vector, D F D and its ascending eigenvalues,
-    once D F D passes the positive-definiteness gate."""
-    scale = _unit_scale(fim.theta)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
-        scaled = fim.matrix * np.outer(scale, scale)
-    try:
-        eigvals = np.linalg.eigvalsh(scaled)
-    except np.linalg.LinAlgError as exc:
-        # LAPACK's eigensolver fails to converge on infinite entries
-        raise SingularInformationError(
-            f"information matrix is not finite ({exc})"
-        ) from exc
+    """:func:`_scaled` of the matrix, once D F D passes the
+    positive-definiteness gate."""
+    scale, scaled, eigvals = _scaled(fim.matrix, fim.theta)
     lam_min, lam_max = eigvals[0], eigvals[-1]
     if not (lam_max > 0.0 and lam_min > PD_RTOL * lam_max):
         cond = lam_max / lam_min if lam_min > 0 else np.inf

@@ -132,6 +132,24 @@ class Spectrum:
         )
 
 
+def _draw(theta_true: ParameterVector, freqs_hz: np.ndarray, err: ErrorStructure, rng):
+    """Magnitudes, phases and their standard deviations (from the noiseless
+    magnitudes) at ``freqs_hz``.  With ``rng`` the samples carry white noise,
+    multiplicative Gaussian on the magnitude and additive Gaussian on the
+    phase, magnitude channel first; with ``rng=None`` they are noiseless."""
+    mag, phase = model_polar(theta_true, freqs_hz)
+    sigma_mag, sigma_phase = sigma_at(err, mag)
+    if rng is not None:
+        mag = mag * (1.0 + err.sigma_rel_mag * rng.standard_normal(mag.size))
+        phase = phase + err.sigma_phase_rad * rng.standard_normal(phase.size)
+        if np.any(mag <= 0.0):
+            raise DomainError(
+                "noise level drove a magnitude sample non-positive; "
+                "the multiplicative noise model needs rel_mag_max well below 1"
+            )
+    return mag, phase, sigma_mag, sigma_phase
+
+
 def synthesize(
     theta_true: ParameterVector,
     grid: FrequencyGrid,
@@ -139,28 +157,12 @@ def synthesize(
     seed: int,
     noiseless: bool = False,
 ) -> Spectrum:
-    """Simulate one sweep: evaluate the model and corrupt it with white noise.
-
-    Magnitude noise is multiplicative Gaussian, phase noise additive
-    Gaussian; both channels are drawn independently per point from a
-    generator seeded with ``seed`` (magnitude channel first).  The stored
-    standard deviations come from the noiseless magnitudes.  ``noiseless``
-    skips the corruption but keeps the same standard deviations, so the
-    spectrum remains usable as a weighted-fit input.
-    """
-    mag0, phase0 = model_polar(theta_true, grid.frequencies)
-    sigma_mag, sigma_phase = sigma_at(err, mag0)
-    if noiseless:
-        mag, phase = mag0, phase0
-    else:
-        rng = np.random.default_rng(seed)
-        mag = mag0 * (1.0 + err.sigma_rel_mag * rng.standard_normal(mag0.size))
-        phase = phase0 + err.sigma_phase_rad * rng.standard_normal(phase0.size)
-        if np.any(mag <= 0.0):
-            raise DomainError(
-                "noise level drove a magnitude sample non-positive; "
-                "the multiplicative noise model needs rel_mag_max well below 1"
-            )
+    """Simulate one sweep: evaluate the model and corrupt it with white noise
+    drawn from a generator seeded with ``seed`` (see :func:`_draw`).
+    ``noiseless`` skips the corruption but keeps the same standard
+    deviations, so the spectrum remains usable as a weighted-fit input."""
+    rng = None if noiseless else np.random.default_rng(seed)
+    mag, phase, sigma_mag, sigma_phase = _draw(theta_true, grid.frequencies, err, rng)
     provenance = {
         "source": "synthetic",
         "seed": int(seed),
@@ -181,18 +183,13 @@ def measure_at(
     err: ErrorStructure,
     rng: np.random.Generator,
 ):
-    """Draw one noisy sample at a single frequency.
+    """Draw one noisy sample at a single frequency, as :func:`synthesize` does.
 
     Returns (mag, phase_rad, sigma_mag, sigma_phase_rad).  Used by the
     adjustment loop to re-measure a moved point with the loop's generator.
     """
-    mag0, phase0 = model_polar(theta_true, np.array([float(f_hz)]))
-    sigma_mag, sigma_phase = sigma_at(err, mag0)
-    mag = mag0[0] * (1.0 + err.sigma_rel_mag * rng.standard_normal())
-    phase = phase0[0] + err.sigma_phase_rad * rng.standard_normal()
-    if mag <= 0.0:
-        raise DomainError("noise level drove a magnitude sample non-positive")
-    return float(mag), float(phase), float(sigma_mag[0]), float(sigma_phase[0])
+    sample = _draw(theta_true, np.array([float(f_hz)]), err, rng)
+    return tuple(float(value[0]) for value in sample)
 
 
 def save_spectrum(spectrum: Spectrum, path) -> None:

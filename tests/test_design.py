@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -37,6 +38,7 @@ from eisopt.design import (
     SCAN_STEP_DECADES,
     _EigenWorkspace,
     _frozen_set,
+    _landing,
     _scan_ranking,
     adjust_frequency,
 )
@@ -225,6 +227,16 @@ def test_a_clamp_back_onto_the_point_is_no_move():
         stub.lambda_min -= 1e-12  # a rounding-level gain for the move in place
         f_new, status, _ = adjust_frequency(stub, COARSE, index, cfg)
         assert (f_new, status) == (COARSE.frequencies[index], "stalled")
+
+
+def test_a_probe_clamped_at_the_floor_is_not_below_it():
+    # 10.0**math.log10(0.03) is one rounding step below 0.03
+    for floor in (0.03, 0.3, 0.7, 1.1, 3.0, 7.0, 30.0, 300.0):
+        cfg = DesignConfig(min_frequency_hz=floor)
+        logs, probes, _ = _landing(COARSE, cfg, [4, 4], np.array([-3.0, math.log10(floor)]))
+        assert all(f >= floor for f in probes)
+        assert probes[0] == pytest.approx(floor, rel=1e-15)
+        assert 10.0**logs[0] == probes[0]
 
 
 def test_scan_ranks_a_candidate_without_an_admissible_probe_last():
@@ -631,6 +643,41 @@ def test_singular_initial_fit_raises_with_context(monkeypatch):
     assert info.value.condition_number == direct.value.condition_number
 
 
+def _fit_returning(r_1, after_calls):
+    """A fit_wcnls stand-in that, from call ``after_calls`` on, returns the
+    real fit with R_1 replaced, so the information matrix overflows."""
+    real_fit = eisopt.design.fit_wcnls
+    calls = []
+
+    def fit(spectrum, theta0):
+        result = real_fit(spectrum, theta0)
+        calls.append(result)
+        if len(calls) <= after_calls:
+            return result
+        return replace(result, theta=replace(result.theta, r_1=r_1))
+
+    return fit
+
+
+def test_non_finite_refit_ends_the_trace(monkeypatch):
+    monkeypatch.setattr(eisopt.design, "fit_wcnls", _fit_returning(1e200, after_calls=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run_design(SPECTRUM, STATE_A, CFG, err=ERR, reference_grid=BASELINE, seed=42)
+    assert trace.terminated == "singular_information: information matrix is not finite"
+    assert len(trace.steps) == 1
+    assert trace.final.status == "initial"
+
+
+def test_non_finite_initial_fit_raises_with_context(monkeypatch):
+    monkeypatch.setattr(eisopt.design, "fit_wcnls", _fit_returning(1e200, after_calls=0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularInformationError,
+                           match=r"^initial fit: information matrix is not finite$"):
+            run_design(SPECTRUM, STATE_A, CFG, err=ERR, reference_grid=BASELINE, seed=42)
+
+
 def test_trace_serialization_round_trip(tmp_path):
     jsonl = tmp_path / "trace.jsonl"
     TRACE.save_jsonl(jsonl)
@@ -676,7 +723,7 @@ _BIT_STABLE_TRACES = {
     "STATE_A-unfrozen": ("edc96d5981146e42", "6e0031bb9d1bc410"),
     "STATE_B-unfrozen": ("5c6b4d1e866e5423", "a68a0b4f82227501"),
     "STATE_A-floor": ("edc96d5981146e42", "6e0031bb9d1bc410"),
-    "STATE_B-floor": ("bd5eb583890c83a4", "b2942187e48e7b99"),
+    "STATE_B-floor": ("c444a2a8a0170f35", "33a4c251090ad0e6"),
     "STATE_A-budget": ("edc96d5981146e42", "6e0031bb9d1bc410"),
     "STATE_B-budget": ("83140bfe1069db80", "800278ab841d892b"),
 }

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import decreasing_frequencies, thetas
 from eisopt import (
@@ -32,6 +32,7 @@ from eisopt import (
     uncertainty_report,
 )
 from eisopt.circuit import _impedance_and_gradient, _polar_sensitivities
+from eisopt.design import _EigenWorkspace
 from eisopt.information import _crlb, _factor
 
 ERR = ErrorStructure()
@@ -283,6 +284,30 @@ def test_thinning_the_sweep_never_sharpens_a_crlb(theta, keep):
     assert report.log_volume == ellipsoid_log_volume(thinned)
 
 
+_REDUCED = reduce_ppd(GRID, 0.1, 7)
+
+
+def _crlb_or_none(fim):
+    try:
+        return crlb(fim)
+    except SingularInformationError:
+        return None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(theta=thetas(), log_f=st.floats(-3.0, 5.0))
+def test_adding_a_frequency_never_raises_a_crlb(theta, log_f):
+    # one more point adds a positive semi-definite term to the information
+    f_new = 10.0**log_f
+    assume(f_new not in _REDUCED.frequencies)
+    augmented = FrequencyGrid(np.sort(np.append(_REDUCED.frequencies, f_new))[::-1])
+    before = _crlb_or_none(fisher(theta, _REDUCED, ERR))
+    after = _crlb_or_none(fisher(theta, augmented, ERR))
+    assert (before is None) == (after is None)
+    if before is not None:
+        assert np.all(after <= before * (1.0 + 1e-9))
+
+
 def test_invalid_inputs_rejected():
     with pytest.raises(DomainError):
         fisher(STATE_A, np.array([]), ERR)
@@ -324,6 +349,9 @@ def test_extreme_parameters_raise_a_typed_error_without_warnings(extreme):
         for derive in (crlb, ellipsoid_log_volume, uncertainty_report):
             with pytest.raises(SingularInformationError):
                 derive(fisher(theta, GRID, ERR))
+        # the design loop's what-if workspace scales by the same function
+        with pytest.raises(SingularInformationError, match="^information matrix is not finite$"):
+            _EigenWorkspace(theta, GRID, ERR)
 
 
 # ---------------------------------------------------------------------------
