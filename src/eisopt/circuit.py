@@ -26,6 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .exceptions import DomainError
+from .frequency import FrequencyGrid
 
 # Canonical parameter order; every array-valued theta in the package
 # follows it.
@@ -200,10 +201,13 @@ def _polar_sensitivities(z: np.ndarray, dz: np.ndarray):
 
 def _frequencies(grid) -> np.ndarray:
     """The Hz values of a FrequencyGrid, an array or a scalar as a 1-D
-    float array, checked nonempty, positive and finite: a zero or negative
-    frequency would give NaN rows, and a 2-D array broadcast errors or a
-    2-D result, not a DomainError."""
-    freqs = np.atleast_1d(np.asarray(getattr(grid, "frequencies", grid), dtype=float))
+    float array.  A grid's own read-only array is returned as it is: its
+    constructor already checked it.  Anything else is checked nonempty,
+    positive and finite: a zero or negative frequency would give NaN rows,
+    and a 2-D array broadcast errors or a 2-D result, not a DomainError."""
+    if isinstance(grid, FrequencyGrid):
+        return grid.frequencies
+    freqs = np.atleast_1d(np.asarray(grid, dtype=float))
     if freqs.ndim != 1:
         raise DomainError(f"frequencies must be a 1-D array, got shape {freqs.shape}")
     if freqs.size == 0:

@@ -241,23 +241,27 @@ def _cpe_complex(q: float, phi: float, omega: np.ndarray) -> np.ndarray:
     return np.exp(-phi * (np.log(omega) + 1j * (np.pi / 2.0))) / q
 
 
-def _candidate(r_s, q_hf, phi_hf, r1, q1, p1, r2, q2, p2, q_lf, phi_lf):
-    """Clip the scale estimates into [1e-18, 1e18] and build the vector.
+def _candidate(r_s, q_hf, phi_hf, r1, q1, p1, r2, q2, p2, q_lf, phi_lf) -> np.ndarray:
+    """The canonical row with the scale estimates clipped into [1e-18, 1e18].
 
     The exponents need no clamp: :func:`initialize` clips each one into its
-    interval before it gets here."""
+    interval before it gets here, so only a NaN estimate can make the row
+    inadmissible; it raises the DomainError its ParameterVector raises."""
     arr = np.array([r_s, q_hf, phi_hf, r1, q1, p1, r2, q2, p2, q_lf, phi_lf])
     arr[_LOG_IDX] = np.clip(arr[_LOG_IDX], 1e-18, 1e18)
-    return ParameterVector.from_array(arr)
+    if not np.isfinite(arr).all():
+        ParameterVector.from_array(arr)
+    return arr
 
 
 def _arc_params(omega_c: float, height: float, r: float):
     """Arc exponent and CPE coefficient from apex frequency and height.
 
     At the apex the arc's imaginary part peaks at (R/2)tan(pi phi/4) and
-    R Q omega_c^phi = 1.
+    R Q omega_c^phi = 1.  The exponent is clamped into [0.3, 1] by
+    comparisons, so a NaN passes through.
     """
-    phi = np.clip((4.0 / np.pi) * math.atan(max(2.0 * height / r, 1e-6)), 0.3, 1.0)
+    phi = min(max((4.0 / np.pi) * math.atan(max(2.0 * height / r, 1e-6)), 0.3), 1.0)
     q = omega_c ** (-phi) / r
     return phi, q
 
@@ -385,10 +389,9 @@ def initialize(spectrum: Spectrum) -> ParameterVector:
                                q_lf, phi_lf)
                 )
 
-    # One stacked model evaluation scores every candidate; min() over the
-    # per-row objectives keeps the first of equal scores.
-    r = _weighted_residuals(
-        spectrum, _impedance(np.array([th.to_array() for th in candidates]), omega)
-    )
+    # One stacked model evaluation scores every candidate row; min() over
+    # the per-row objectives keeps the first of equal scores.
+    rows = np.array(candidates)
+    r = _weighted_residuals(spectrum, _impedance(rows, omega))
     scores = [float(row @ row) for row in r]
-    return candidates[min(range(len(candidates)), key=scores.__getitem__)]
+    return ParameterVector.from_array(rows[min(range(len(rows)), key=scores.__getitem__)])

@@ -12,19 +12,17 @@ noise and is always included.
 
 Raw-unit entries of F span roughly twenty orders of magnitude because the
 parameters range from milliohms to 1e7.  Every factorization here therefore
-runs on a similarity-scaled matrix D F D with D = diag(|theta|), which has
-condition numbers a plain Cholesky handles; results are mapped back to
+runs on a similarity-scaled matrix D F D with D = diag(|theta|), whose
+condition numbers a plain LAPACK inverse handles; results are mapped back to
 linear parameter units exactly.  :func:`uncertainty_report` takes the CRLB,
 log-volume and scaled (log-parameter) eigenvalues from one factorization.
-The CRLB's Cholesky factorization and solve call LAPACK ``dpotrf`` and
-``dpotrs`` directly, with the arguments ``scipy.linalg.cho_factor`` and
-``cho_solve`` pass them, so the bounds are the same bits.  The two routines
-are loaded from SciPy on first use rather than with this module, so that
-importing eisopt, synthesizing, fitting and the design loop never load
-SciPy; loading them late leaves the bounds' bits as they are.  A
-matrix that is not finite, such as the overflowed information of an
-extreme but admissible theta, is reported as singular, by the reports and
-by the design loop's what-if workspace alike, before LAPACK sees it.
+The CRLB is the diagonal of the inverse of the gated D F D, from NumPy's
+own LAPACK (``np.linalg.inv``), so eisopt runs on NumPy alone; a failed
+inversion, or a variance that is not positive and finite, raises
+:class:`SingularInformationError`.  A matrix that is not finite, such as
+the overflowed information of an extreme but admissible theta, is reported
+as singular, by the reports and by the design loop's what-if workspace
+alike, before LAPACK sees it.
 """
 
 from __future__ import annotations
@@ -47,11 +45,6 @@ from .measurement import ErrorStructure
 # Positive-definiteness gate used before inverting: smallest eigenvalue of
 # the unit-scaled matrix must exceed this fraction of the largest.
 PD_RTOL = 1e-12
-
-# Right-hand side of the CRLB solve; dpotrs copies it, never writes it.
-_IDENTITY = np.eye(N_PARAMETERS)
-_IDENTITY.flags.writeable = False
-
 
 @dataclass(frozen=True, eq=False)
 class FisherMatrix:
@@ -146,17 +139,18 @@ def _factor(fim: FisherMatrix):
 
 
 def _crlb(scale: np.ndarray, scaled: np.ndarray) -> np.ndarray:
-    # imported on first use: SciPy takes longer to load than the rest of
-    # eisopt, and nothing but the CRLB needs it
-    from scipy.linalg.lapack import dpotrf, dpotrs
-
-    chol, info = dpotrf(scaled, lower=1, clean=0)
-    if info != 0:
-        raise SingularInformationError(f"Cholesky factorization failed (dpotrf info={info})")
-    inv_scaled, info = dpotrs(chol, _IDENTITY, lower=1)
-    if info != 0:
-        raise SingularInformationError(f"Cholesky solve failed (dpotrs info={info})")
-    return scale**2 * np.diag(inv_scaled)
+    """The CRLB of a gated D F D: the diagonal of its inverse, mapped back
+    to linear units.  A variance that is not positive and finite raises."""
+    try:
+        inverse = np.linalg.inv(scaled)
+    except np.linalg.LinAlgError as exc:
+        raise SingularInformationError(f"information matrix inversion failed: {exc}") from exc
+    with np.errstate(over="ignore"):  # an overflowed variance raises below
+        variances = scale**2 * np.diag(inverse)
+    if not ((variances > 0.0) & np.isfinite(variances)).all():
+        raise SingularInformationError("information matrix inverse has a variance "
+                                       "that is not positive and finite")
+    return variances
 
 
 def _log_volume(scale: np.ndarray, eigvals: np.ndarray) -> float:
@@ -166,7 +160,7 @@ def _log_volume(scale: np.ndarray, eigvals: np.ndarray) -> float:
 def crlb(fim: FisherMatrix) -> np.ndarray:
     """Per-parameter minimum variances: the diagonal of the matrix inverse.
 
-    The positive-definiteness gate and the factorization run on the
+    The positive-definiteness gate and the inverse run on the
     unit-scaled matrix; raw-unit eigenvalues would conflate the parameter
     scale disparity with genuine rank deficiency.
     """

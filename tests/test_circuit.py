@@ -16,9 +16,10 @@ from eisopt import (
     STATE_A,
     fisher_contributions,
     jacobian,
+    log_spaced_inclusive,
     model_polar,
 )
-from eisopt.circuit import _impedance, _impedance_and_gradient
+from eisopt.circuit import _frequencies, _impedance, _impedance_and_gradient
 from eisopt.estimation import _cpe_complex
 
 from conftest import decreasing_frequencies, random_theta, thetas
@@ -312,6 +313,13 @@ def test_bad_frequencies_raise_the_same_domain_error(function, freqs, message):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=message):
             function(STATE_A, np.array(freqs))
+
+
+def test_a_grid_passes_its_own_array_unchecked():
+    grid = log_spaced_inclusive(1e4, 0.01, 10)
+    assert _frequencies(grid) is grid.frequencies
+    checked = _frequencies(list(grid.frequencies))
+    assert checked is not grid.frequencies and np.array_equal(checked, grid.frequencies)
 
 
 def _bits(z):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import decreasing_frequencies, thetas
 from eisopt import (
+    DomainError,
     ErrorStructure,
     FrequencyGrid,
     InitializationError,
@@ -195,6 +196,21 @@ def test_initialize_rejects_narrow_spectra():
     spectrum = synthesize(STATE_A, few, ERR, seed=1, noiseless=True)
     with pytest.raises(InitializationError):
         initialize(spectrum)
+
+
+def test_a_nan_candidate_raises_the_domain_error_of_its_vector():
+    from eisopt.estimation import _arc_params, _candidate
+
+    phi, q = _arc_params(10.0, float("nan"), 1e-3)
+    assert math.isnan(phi) and math.isnan(q)
+    assert _arc_params(10.0, 1e9, 1e-3)[0] == 1.0
+    assert _arc_params(10.0, 0.0, 1e-3)[0] == 0.3
+    args = list(STATE_A.to_array())
+    row = _candidate(*args)
+    assert row.dtype == float and np.array_equal(ParameterVector.from_array(row).to_array(), row)
+    args[4], args[5] = q, phi
+    with pytest.raises(DomainError, match="^Q_1 must be positive and finite, got nan$"):
+        _candidate(*args)
 
 
 def test_noisy_fits_stay_near_truth():

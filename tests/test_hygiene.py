@@ -1,6 +1,6 @@
 """Source hygiene: every module uses each name it imports and imports only
-the standard library, NumPy and eisopt at module level, SciPy stays
-unloaded until a CRLB, only ``eisopt.measurement`` writes CSV or JSON
+the standard library, NumPy and eisopt at module level, no module imports
+SciPy and no command or report loads it, only ``eisopt.measurement`` writes CSV or JSON
 files, one function of ``eisopt.design`` holds the loop's move rule, every
 binding the benchmark's tracer wraps exists, and every public name, and
 every public method or property of a public class, has a use outside the
@@ -47,8 +47,8 @@ def test_module_uses_every_name_it_imports(path):
 
 
 # What a module may import at its top: importing eisopt then costs only the
-# interpreter's own modules and NumPy.  A heavier dependency is imported
-# where it is used, as information._crlb imports SciPy's LAPACK routines.
+# interpreter's own modules and NumPy.  A heavier dependency would be
+# imported where it is used; SciPy is imported nowhere (see below).
 _TOP_LEVEL_ALLOWED = set(sys.stdlib_module_names) | {"numpy", "eisopt"}
 
 
@@ -79,15 +79,43 @@ def test_the_import_check_sees_module_level_imports():
         (1, "numpy"), (2, "scipy"), (3, "scipy"), (4, "eisopt")]
 
 
+def _scipy_imports(tree):
+    """The line of every import of SciPy at any depth, function and class
+    bodies included; relative imports are eisopt's own."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    # eisopt runs on NumPy alone: the CRLB inverts with NumPy's LAPACK
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = list(_scipy_imports(tree))
+    assert lines == [], f"{path.name} imports SciPy on lines {lines}"
+
+
+def test_the_scipy_check_sees_imports_at_any_depth():
+    tree = ast.parse("import numpy as np\nimport scipy as sp\nfrom .scipy import x\n"
+                     "def f():\n    from scipy.linalg.lapack import dpotrf\n"
+                     "class C:\n    def g(self):\n        import os, scipy.linalg\n"
+                     "import scipyx\n")
+    assert list(_scipy_imports(tree)) == [2, 5, 8]
+
+
 # Runs in a fresh interpreter: other tests have long imported SciPy here.
 _SCIPY_GUARD = textwrap.dedent("""
     import sys
     from eisopt import (STATE_A, DesignConfig, ErrorStructure, crlb, fisher, fit_wcnls,
-                        initialize, log_spaced_inclusive, reduce_ppd, run_design, synthesize)
+                        initialize, log_spaced_inclusive, reduce_ppd, run_design, synthesize,
+                        uncertainty_report)
     from eisopt.cli import main
-
-    def scipy_modules():
-        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
     out = sys.argv[1]
     err = ErrorStructure()
@@ -96,15 +124,17 @@ _SCIPY_GUARD = textwrap.dedent("""
     fit_wcnls(spectrum, initialize(spectrum))
     run_design(spectrum, STATE_A, DesignConfig(max_iterations=2), err=err, seed=2,
                reference_grid=grid)
-    for argv in (["synth"], ["fit", f"{out}/spectrum.csv"], ["design", "--max-iterations", "1"]):
-        assert main(argv + ["--output-dir", out]) == 0, argv
-    assert scipy_modules() == [], f"loaded before any CRLB: {scipy_modules()}"
     crlb(fisher(STATE_A, grid, err))
-    assert "scipy.linalg.lapack" in sys.modules, "the CRLB ran without SciPy's LAPACK"
+    uncertainty_report(fisher(STATE_A, grid, err))
+    for argv in (["synth"], ["fit", f"{out}/spectrum.csv"], ["design", "--max-iterations", "1"],
+                 ["crlb-sweep"], ["report"]):
+        assert main(argv + ["--output-dir", out]) == 0, argv
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    assert loaded == [], f"SciPy was loaded: {loaded}"
 """)
 
 
-def test_scipy_stays_unloaded_until_a_crlb(tmp_path):
+def test_scipy_never_loads(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, str(tmp_path)],
