@@ -363,31 +363,24 @@ def initialize(spectrum: Spectrum) -> ParameterVector:
     # Single-bump hypotheses are evaluated even when two bumps were found:
     # with noisy data a detected second bump may be spurious, and the extra
     # candidates cost one more row of the scoring evaluation each.
-    if picked:
-        wc = omega[lo_band + picked[0]]
-        h = max(y[lo_band + picked[0]], 1e-15)
-        anchors = [(wc, h)]
-    else:
-        mid = omega[(lo_band + hi_band) // 2]
-        anchors = [(mid, r_sum / 4.0)]
-    for wc, h in anchors:
-        for ratio in (10.0**0.75, 10.0**1.25):
-            for s in (0.3, 0.5, 0.7):
-                r1, r2 = s * r_sum, (1.0 - s) * r_sum
-                # detected bump as the faster arc, hypothesized slower one
-                p1, q1 = _arc_params(wc, h, r1)
-                p2, q2 = _arc_params(wc / ratio, h, r2)
-                candidates.append(
-                    _candidate(r_s, q_hf, phi_hf, r1, q1, p1, r2, q2, p2,
-                               q_lf, phi_lf)
-                )
-                # or the slower arc, hypothesized faster one
-                p1b, q1b = _arc_params(wc * ratio, h, r1)
-                p2b, q2b = _arc_params(wc, h, r2)
-                candidates.append(
-                    _candidate(r_s, q_hf, phi_hf, r1, q1b, p1b, r2, q2b, p2b,
-                               q_lf, phi_lf)
-                )
+    # anchored on the strongest bump, or mid-band when none was found
+    wc, h = ((omega[lo_band + picked[0]], max(y[lo_band + picked[0]], 1e-15)) if picked
+             else (omega[(lo_band + hi_band) // 2], r_sum / 4.0))
+    for ratio in (10.0**0.75, 10.0**1.25):
+        for s in (0.3, 0.5, 0.7):
+            r1, r2 = s * r_sum, (1.0 - s) * r_sum
+            # detected bump as the faster arc, hypothesized slower one
+            p1, q1 = _arc_params(wc, h, r1)
+            p2, q2 = _arc_params(wc / ratio, h, r2)
+            candidates.append(
+                _candidate(r_s, q_hf, phi_hf, r1, q1, p1, r2, q2, p2, q_lf, phi_lf)
+            )
+            # or the slower arc, hypothesized faster one
+            p1b, q1b = _arc_params(wc * ratio, h, r1)
+            p2b, q2b = _arc_params(wc, h, r2)
+            candidates.append(
+                _candidate(r_s, q_hf, phi_hf, r1, q1b, p1b, r2, q2b, p2b, q_lf, phi_lf)
+            )
 
     # One stacked model evaluation scores every candidate row; min() over
     # the per-row objectives keeps the first of equal scores.

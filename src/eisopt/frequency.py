@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, SpectrumFormatError
+from .exceptions import DomainError
 
 # Two frequencies closer than this (relative, in linear Hz) are treated as
 # the same grid point when merging piecewise-generated segments.
@@ -80,14 +80,6 @@ class FrequencyGrid:
             "frequencies_hz": self.frequencies.tolist(),
             "ppd_default": self.ppd_default,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FrequencyGrid":
-        try:
-            freqs = [float(f) for f in data["frequencies_hz"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpectrumFormatError(f"bad grid JSON: {exc}") from exc
-        return cls(freqs, data.get("ppd_default"))
 
 
 def _sweep_density(f_start: float, f_end: float, ppd) -> int:

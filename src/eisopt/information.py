@@ -75,8 +75,14 @@ def _point_weights(err: ErrorStructure, mag: np.ndarray):
     return w_mag, w_phase
 
 
-def _contributions(theta: ParameterVector, freqs_hz: np.ndarray,
-                   err: ErrorStructure) -> np.ndarray:
+def fisher_contributions(theta: ParameterVector, grid, err: ErrorStructure) -> np.ndarray:
+    """Per-frequency additive pieces of the information matrix.
+
+    Returns shape (n, 11, 11); their sum equals :func:`fisher`'s matrix.
+    The adjustment loop uses these to re-evaluate candidate moves by
+    swapping a single summand instead of rebuilding the whole matrix.
+    """
+    freqs_hz = _frequencies(grid)
     # An extreme theta overflows to inf or NaN here; the factorization
     # reports that as a typed error, so NumPy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -88,16 +94,6 @@ def _contributions(theta: ParameterVector, freqs_hz: np.ndarray,
         out = (w_mag[:, None] * dmag)[:, :, None] * dmag[:, None, :]
         out += (w_phase * dphase)[:, :, None] * dphase[:, None, :]
     return out
-
-
-def fisher_contributions(theta: ParameterVector, grid, err: ErrorStructure) -> np.ndarray:
-    """Per-frequency additive pieces of the information matrix.
-
-    Returns shape (n, 11, 11); their sum equals :func:`fisher`'s matrix.
-    The adjustment loop uses these to re-evaluate candidate moves by
-    swapping a single summand instead of rebuilding the whole matrix.
-    """
-    return _contributions(theta, _frequencies(grid), err)
 
 
 def fisher(theta: ParameterVector, grid, err: ErrorStructure) -> FisherMatrix:

@@ -193,18 +193,38 @@ def measure_at(
 
 
 def save_spectrum(spectrum: Spectrum, path) -> None:
-    """Write a spectrum to ``path``.
+    """Write a spectrum to ``path`` as one table: a row per point with the
+    ``CSV_COLUMNS`` in file units (Hz, ohm, degrees).
 
-    Paths ending in .json get the JSON form with a provenance block;
-    everything else gets CSV with '#'-prefixed provenance header lines,
-    the last of them ``# ppd_default=N`` when the grid has a density.
+    Paths ending in .json get the JSON form, a provenance block, the grid
+    and the rows as ``points``; everything else gets CSV with '#'-prefixed
+    provenance header lines, the last of them ``# ppd_default=N`` when the
+    grid has a density.
     """
     path = str(path)
+    rows = [
+        [f, float(mag), math.degrees(phase), float(smag), math.degrees(sphase)]
+        for f, mag, phase, smag, sphase in zip(
+            spectrum.grid.frequencies.tolist(), spectrum.mag_ohm, spectrum.phase_rad,
+            spectrum.sigma_mag_ohm, spectrum.sigma_phase_rad,
+        )
+    ]
     if path.endswith(".json"):
-        write_json(path, _to_json_dict(spectrum))
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            _write_csv(spectrum, fh)
+        write_json(path, {
+            "provenance": spectrum.provenance,
+            "grid": spectrum.grid.to_json_dict(),
+            "points": [dict(zip(CSV_COLUMNS, row)) for row in rows],
+        })
+        return
+    header = {
+        key: spectrum.provenance[key]
+        for key in ("source", "seed", "noiseless", "config_hash", "version")
+        if key in spectrum.provenance
+    }
+    if spectrum.grid.ppd_default is not None:
+        header["ppd_default"] = spectrum.grid.ppd_default
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_table(fh, header, CSV_COLUMNS, rows)
 
 
 def write_json(path, payload: dict) -> None:
@@ -228,43 +248,31 @@ def write_table(fh, header: dict, columns, rows) -> None:
 
 
 def load_spectrum(path) -> Spectrum:
-    """Read a spectrum written by :func:`save_spectrum`.
+    """Read a spectrum written by :func:`save_spectrum`: both forms parse
+    to the one table, and one path builds the spectrum from it.
 
-    Raises :class:`SpectrumFormatError` (with a line number where possible)
-    for malformed rows, missing columns, or non-decreasing frequencies.
+    Anything malformed raises :class:`SpectrumFormatError`, with a line
+    number for CSV rows and headers where there is one; values the
+    spectrum refuses (a frequency, magnitude or sigma that is not
+    positive, a non-finite value, fewer than 2 points) read
+    ``bad spectrum CSV: ...`` or ``bad spectrum JSON: ...``.
     """
     path = str(path)
-    if path.endswith(".json"):
-        with open(path, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SpectrumFormatError(f"invalid spectrum JSON: {exc}") from exc
-        return _from_json_dict(data, origin=path)
+    form = "JSON" if path.endswith(".json") else "CSV"
     with open(path, encoding="utf-8", newline="") as fh:
-        return _read_csv(fh, origin=path)
+        parse = _parse_json if form == "JSON" else _parse_csv
+        provenance, ppd_default, table = parse(fh, origin=path)
+    data = np.array(table, dtype=float).reshape(-1, len(CSV_COLUMNS))
+    try:
+        grid = FrequencyGrid(data[:, 0], ppd_default)
+        return Spectrum(grid, data[:, 1], np.radians(data[:, 2]), data[:, 3],
+                        np.radians(data[:, 4]), provenance)
+    except DomainError as exc:
+        raise SpectrumFormatError(f"bad spectrum {form}: {exc}") from exc
 
 
-def _write_csv(spectrum: Spectrum, fh) -> None:
-    header = {
-        key: spectrum.provenance[key]
-        for key in ("source", "seed", "noiseless", "config_hash", "version")
-        if key in spectrum.provenance
-    }
-    if spectrum.grid.ppd_default is not None:
-        header["ppd_default"] = spectrum.grid.ppd_default
-    rows = (
-        [repr(f), repr(float(mag)), repr(math.degrees(phase)), repr(float(smag)),
-         repr(math.degrees(sphase))]
-        for f, mag, phase, smag, sphase in zip(
-            spectrum.grid.frequencies.tolist(), spectrum.mag_ohm, spectrum.phase_rad,
-            spectrum.sigma_mag_ohm, spectrum.sigma_phase_rad,
-        )
-    )
-    write_table(fh, header, CSV_COLUMNS, rows)
-
-
-def _read_csv(fh, origin: str) -> Spectrum:
+def _parse_csv(fh, origin: str):
+    """``(provenance, ppd_default, rows)`` of a CSV spectrum file."""
     provenance = {"source": origin}
     ppd_default = None
     rows = []
@@ -302,75 +310,35 @@ def _read_csv(fh, origin: str) -> Spectrum:
                 line_number=lineno,
             )
         try:
-            rows.append((lineno, [float(c) for c in cells]))
+            row = [float(c) for c in cells]
         except ValueError as exc:
             raise SpectrumFormatError(str(exc), line_number=lineno) from exc
+        if rows and row[0] >= rows[-1][0]:
+            raise SpectrumFormatError(
+                f"frequencies must be strictly decreasing ({row[0]} after {rows[-1][0]})",
+                line_number=lineno,
+            )
+        rows.append(row)
     if header is None:
         raise SpectrumFormatError("empty spectrum file")
     if not rows:
         raise SpectrumFormatError("no data rows")
-    prev_f = None
-    for lineno, (f, *_rest) in rows:
-        if prev_f is not None and f >= prev_f:
-            raise SpectrumFormatError(
-                f"frequencies must be strictly decreasing ({f} after {prev_f})",
-                line_number=lineno,
-            )
-        prev_f = f
-    data = np.array([values for _, values in rows])
-    grid = FrequencyGrid(data[:, 0], ppd_default)
-    return Spectrum(
-        grid,
-        data[:, 1],
-        np.radians(data[:, 2]),
-        data[:, 3],
-        np.radians(data[:, 4]),
-        provenance,
-    )
+    return provenance, ppd_default, rows
 
 
-def _to_json_dict(spectrum: Spectrum) -> dict:
-    return {
-        "provenance": spectrum.provenance,
-        "grid": spectrum.grid.to_json_dict(),
-        "points": [
-            {
-                "f_hz": f,
-                "mag_ohm": float(m),
-                "phase_deg": math.degrees(p),
-                "sigma_mag_ohm": float(sm),
-                "sigma_phase_deg": math.degrees(sp),
-            }
-            for f, m, p, sm, sp in zip(
-                spectrum.grid.frequencies.tolist(),
-                spectrum.mag_ohm,
-                spectrum.phase_rad,
-                spectrum.sigma_mag_ohm,
-                spectrum.sigma_phase_rad,
-            )
-        ],
-    }
-
-
-def _from_json_dict(data: dict, origin: str) -> Spectrum:
+def _parse_json(fh, origin: str):
+    """``(provenance, ppd_default, rows)`` of a JSON spectrum file."""
     try:
-        grid_data, points = data["grid"], data["points"]
-        f_hz = [float(p["f_hz"]) for p in points]
-        mag = [float(p["mag_ohm"]) for p in points]
-        phase = [math.radians(p["phase_deg"]) for p in points]
-        smag = [float(p["sigma_mag_ohm"]) for p in points]
-        sphase = [math.radians(p["sigma_phase_deg"]) for p in points]
+        data = json.load(fh)
+        grid = data["grid"]
+        grid_hz = [float(f) for f in grid["frequencies_hz"]]
+        rows = [[float(p[c]) for c in CSV_COLUMNS] for p in data["points"]]
+        provenance = dict(data.get("provenance", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise SpectrumFormatError(f"bad spectrum JSON: {exc}") from exc
-    provenance = dict(data.get("provenance", {}))
-    provenance.setdefault("source", origin)
-    try:
-        grid = FrequencyGrid.from_json_dict(grid_data)
-        spectrum = Spectrum(grid, mag, phase, smag, sphase, provenance)
-    except DomainError as exc:
-        raise SpectrumFormatError(f"bad spectrum JSON: {exc}") from exc
-    if not np.array_equal(f_hz, grid.frequencies):
+    if [row[0] for row in rows] != grid_hz:
         raise SpectrumFormatError(
             "bad spectrum JSON: the points' f_hz differ from the grid's frequencies_hz"
         )
-    return spectrum
+    provenance.setdefault("source", origin)
+    return provenance, grid.get("ppd_default"), rows

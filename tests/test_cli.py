@@ -11,7 +11,6 @@ import eisopt.cli
 import eisopt.design
 from eisopt import (
     DesignConfig,
-    DomainError,
     ErrorStructure,
     FrequencyGrid,
     STATE_A,
@@ -320,9 +319,13 @@ def _fractional_ppd_default(data):
     data["grid"]["ppd_default"] = 10.6
 
 
+def _numeric_provenance(data):
+    data["provenance"] = 5
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [_corrupt_points, _corrupt_ppd_default, _fractional_ppd_default],
+    [_corrupt_points, _corrupt_ppd_default, _fractional_ppd_default, _numeric_provenance],
 )
 def test_malformed_number_in_spectrum_json_is_format_error(tmp_path, corrupt):
     grid = reduce_ppd(log_spaced_inclusive(1e4, 0.01, 10), 0.1, 7)
@@ -392,10 +395,62 @@ def test_non_finite_spectrum_value_is_usage_error(tmp_path, capsys, suffix, colu
         lines[row] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
     message = f"{_ARRAY_OF_COLUMN[column]} must be finite"
-    with pytest.raises(SpectrumFormatError if suffix == ".json" else DomainError, match=message):
+    with pytest.raises(SpectrumFormatError, match=message):
         load_spectrum(path)
     assert main(["fit", str(path), "--output-dir", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+# Values the spectrum itself refuses are one error in both file forms:
+# SpectrumFormatError naming the form, and exit 2 from fit.  The JSON grid
+# is kept equal to the points' f_hz, so the check that refuses is the
+# spectrum's, not the form's own.
+def _negative_magnitude(rows):
+    rows[3][1] = -rows[3][1]
+
+
+def _zero_sigma(rows):
+    rows[3][3] = 0.0
+
+
+def _one_row(rows):
+    del rows[1:]
+
+
+def _zero_frequency(rows):
+    rows[-1][0] = 0.0
+
+
+def _nan_phase(rows):
+    rows[3][2] = float("nan")
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_negative_magnitude, _zero_sigma, _one_row, _zero_frequency, _nan_phase]
+)
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_values_the_spectrum_refuses_are_format_errors_in_both_forms(tmp_path, suffix,
+                                                                    corrupt):
+    path = tmp_path / f"spectrum{suffix}"
+    save_spectrum(synthesize(STATE_A, log_spaced_inclusive(1e4, 0.01, 10), ErrorStructure(),
+                             seed=4), path)
+    if suffix == ".json":
+        data = json.loads(path.read_text())
+        rows = [[point[c] for c in CSV_COLUMNS] for point in data["points"]]
+        corrupt(rows)
+        data["points"] = [dict(zip(CSV_COLUMNS, row)) for row in rows]
+        data["grid"]["frequencies_hz"] = [row[0] for row in rows]
+        path.write_text(json.dumps(data))
+    else:
+        header = [line for line in path.read_text().splitlines() if line.startswith("#")]
+        columns, *table = _data_lines(path)
+        rows = [[float(cell) for cell in line.split(",")] for line in table]
+        corrupt(rows)
+        lines = header + [columns] + [",".join(map(repr, row)) for row in rows]
+        path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SpectrumFormatError, match=f"^bad spectrum {suffix[1:].upper()}: "):
+        load_spectrum(path)
+    assert main(["fit", str(path), "--output-dir", str(tmp_path)]) == 2
 
 
 def test_unknown_fixture_is_usage_error(tmp_path):

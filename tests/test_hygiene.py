@@ -254,9 +254,7 @@ def test_every_traced_binding_exists():
 
 # A public name that only the tests call is code kept working for no user.
 # Each name in eisopt.__all__ must be used by another eisopt module or by
-# the benchmark, or be documented in the README; jacobian stays for the
-# derivative oracle of the acceptance criteria.
-_TESTED_ONLY_BY_DESIGN = {"jacobian"}
+# the benchmark, or be documented in the README.
 
 
 def _names_read(tree):
@@ -280,7 +278,7 @@ def _names_used(sources, readme):
 
 
 def _public_names_without_a_use(public, sources, readme):
-    return sorted(set(public) - _names_used(sources, readme) - _TESTED_ONLY_BY_DESIGN)
+    return sorted(set(public) - _names_used(sources, readme))
 
 
 def _public_members_without_a_use(classes, sources, readme):
@@ -325,7 +323,7 @@ def test_the_public_name_check_sees_uses_not_definitions():
             return eisopt.crlb(fisher(grid))
     """)
     public = ["model_polar", "crlb", "fisher", "save_spectrum", "N_POINTS",
-              "unused_helper", "total_time", "jacobian"]
+              "unused_helper", "total_time"]
     assert _public_names_without_a_use(public, [source], "call `save_spectrum(s, path)`") == [
         "N_POINTS", "total_time", "unused_helper"]
 
