@@ -17,10 +17,15 @@ propagated through |Z| and arg Z by the chain rule, so the sensitivity
 matrix is exact to machine precision.  This matters because the Fisher
 information and the frequency-adjustment scan evaluate the Jacobian in
 inner loops.
+
+The admissible domain has one home, the ``_DOMAIN`` table: the parameter
+names, ``ParameterVector``'s checks and messages, the log-scale indices and
+the fit's projection bounds are all read from it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -28,27 +33,40 @@ import numpy as np
 from .exceptions import DomainError
 from .frequency import FrequencyGrid
 
-# Canonical parameter order; every array-valued theta in the package
-# follows it.
-PARAMETER_NAMES = (
-    "R_s",
-    "Q_HF",
-    "phi_HF",
-    "R_1",
-    "Q_1",
-    "phi_1",
-    "R_2",
-    "Q_2",
-    "phi_2",
-    "Q_LF",
-    "phi_LF",
+# The admissible domain, one row per parameter in canonical order (every
+# array-valued theta in the package follows it): the display name, then
+# None for a scale (positive, finite and fitted in log space) or an
+# exponent's interval (low, high, low_closed, high_closed).
+_DOMAIN = (
+    ("R_s", None),
+    ("Q_HF", None),
+    ("phi_HF", (-1.0, 0.0, True, False)),
+    ("R_1", None),
+    ("Q_1", None),
+    ("phi_1", (0.0, 1.0, False, True)),
+    ("R_2", None),
+    ("Q_2", None),
+    ("phi_2", (0.0, 1.0, False, True)),
+    ("Q_LF", None),
+    ("phi_LF", (0.0, 1.0, True, False)),
 )
+PARAMETER_NAMES = tuple(name for name, _ in _DOMAIN)
+N_PARAMETERS = len(_DOMAIN)
+LOG_SCALE_INDICES = tuple(k for k, (_, interval) in enumerate(_DOMAIN) if interval is None)
 
-N_PARAMETERS = len(PARAMETER_NAMES)
 
-# Indices of parameters that are positive and optimized in log space
-# (resistances and CPE coefficients); the four exponents stay linear.
-LOG_SCALE_INDICES = (0, 1, 3, 4, 6, 7, 9)
+def _admits(interval, x: float) -> bool:
+    if interval is None:
+        return 0.0 < x < math.inf
+    lo, hi, lo_closed, hi_closed = interval
+    return (lo <= x if lo_closed else lo < x) and (x <= hi if hi_closed else x < hi)
+
+
+def _requirement(interval) -> str:
+    if interval is None:
+        return "be positive and finite"
+    lo, hi, lo_closed, hi_closed = interval
+    return f"lie in {'[' if lo_closed else '('}{lo:g}, {hi:g}{']' if hi_closed else ')'}"
 
 
 @dataclass(frozen=True)
@@ -56,7 +74,9 @@ class ParameterVector:
     """The eleven circuit parameters in canonical order.
 
     Units: resistances in ohm, CPE coefficients in ohm^-1 * s^phi (so that
-    1/(Q*w**phi) is an impedance), exponents dimensionless.
+    1/(Q*w**phi) is an impedance), exponents dimensionless.  The
+    DomainError names the first value, in canonical order, that its
+    ``_DOMAIN`` row does not admit.
     """
 
     r_s: float
@@ -72,44 +92,14 @@ class ParameterVector:
     phi_lf: float
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, float(getattr(self, f.name)))
-        positive = {
-            "R_s": self.r_s,
-            "Q_HF": self.q_hf,
-            "R_1": self.r_1,
-            "Q_1": self.q_1,
-            "R_2": self.r_2,
-            "Q_2": self.q_2,
-            "Q_LF": self.q_lf,
-        }
-        for name, value in positive.items():
-            if not np.isfinite(value) or value <= 0.0:
-                raise DomainError(f"{name} must be positive and finite, got {value}")
-        if not (-1.0 <= self.phi_hf < 0.0):
-            raise DomainError(f"phi_HF must lie in [-1, 0), got {self.phi_hf}")
-        for name, value in (("phi_1", self.phi_1), ("phi_2", self.phi_2)):
-            if not (0.0 < value <= 1.0):
-                raise DomainError(f"{name} must lie in (0, 1], got {value}")
-        if not (0.0 <= self.phi_lf < 1.0):
-            raise DomainError(f"phi_LF must lie in [0, 1), got {self.phi_lf}")
+        values = [float(getattr(self, field)) for field in _FIELD_NAMES]
+        for field, value, (name, interval) in zip(_FIELD_NAMES, values, _DOMAIN):
+            if not _admits(interval, value):
+                raise DomainError(f"{name} must {_requirement(interval)}, got {value}")
+            object.__setattr__(self, field, value)
 
     def to_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.r_s,
-                self.q_hf,
-                self.phi_hf,
-                self.r_1,
-                self.q_1,
-                self.phi_1,
-                self.r_2,
-                self.q_2,
-                self.phi_2,
-                self.q_lf,
-                self.phi_lf,
-            ]
-        )
+        return np.array([getattr(self, field) for field in _FIELD_NAMES])
 
     @classmethod
     def from_array(cls, values) -> "ParameterVector":
@@ -129,6 +119,9 @@ class ParameterVector:
             return cls.from_array([mapping[name] for name in PARAMETER_NAMES])
         except KeyError as exc:
             raise DomainError(f"missing parameter {exc.args[0]!r}") from exc
+
+
+_FIELD_NAMES = tuple(field.name for field in fields(ParameterVector))
 
 
 def _impedance(theta: np.ndarray, omega: np.ndarray) -> np.ndarray:

@@ -166,6 +166,14 @@ def _theta_from_config(cfg: dict) -> ParameterVector:
     if isinstance(fixture, str):
         return get_fixture(fixture)
     if isinstance(fixture, dict):
+        kinds, kind = _KINDS[float]
+        for name, value in fixture.items():
+            if name not in PARAMETER_NAMES:
+                raise DomainError(
+                    f"unknown config field fixture.{name}; known fields are {list(PARAMETER_NAMES)}"
+                )
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise DomainError(f"config value fixture.{name} must be {kind}, got {value!r}")
         return ParameterVector.from_dict(fixture)
     raise DomainError("fixture must be a fixture name or a parameter mapping")
 

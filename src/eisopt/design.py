@@ -376,7 +376,7 @@ def run_design(
     *,
     err: ErrorStructure,
     reference_grid: FrequencyGrid,
-    seed: int = 0,
+    seed: int,
 ) -> AdjustmentTrace:
     """Run the full adjustment loop on a measured (or synthetic) spectrum.
 
@@ -387,8 +387,10 @@ def run_design(
     volume is measured against: pass the dense baseline the spectrum's grid
     was reduced from, since the volume means "better or worse than that
     sweep" and cannot be recovered from the reduced grid alone.  ``seed``
-    seeds the re-measurement noise.  The trace records iteration 0 (the
-    evaluation of the unmodified grid) and one row per adjustment.
+    seeds the re-measurement noise; it has no default, so the loop never
+    silently replays the noise of a spectrum synthesized at seed 0.  The
+    trace records iteration 0 (the evaluation of the unmodified grid) and
+    one row per adjustment.
 
     The initial fit and every refit take one step: fit, then the estimate's
     workspace and trace row.  A refit that fails, or whose information matrix

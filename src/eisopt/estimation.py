@@ -30,6 +30,7 @@ import numpy as np
 from .circuit import (
     LOG_SCALE_INDICES,
     N_PARAMETERS,
+    _DOMAIN,
     ParameterVector,
     _impedance,
     _impedance_and_gradient,
@@ -38,25 +39,23 @@ from .circuit import (
 from .exceptions import DomainError, FitError, InitializationError
 from .measurement import Spectrum
 
-# Admissible intervals for the exponents, shrunk by a margin so projected
-# iterates satisfy the strict inequalities of ParameterVector.
+# Bounds on every internal coordinate, as applied by _project.  A scale's
+# log is capped at +-_LOG_BOUND (e^50 ~ 5e21 is far outside any physical
+# value); an exponent keeps its interval's closed ends and stays
+# _EXP_MARGIN inside its open ones, so projected iterates are admissible.
 _EXP_MARGIN = 1e-9
-EXPONENT_BOUNDS = {
-    2: (-1.0, -_EXP_MARGIN),
-    5: (_EXP_MARGIN, 1.0),
-    8: (_EXP_MARGIN, 1.0),
-    10: (0.0, 1.0 - _EXP_MARGIN),
-}
-
-# Cap on log-coordinates; e^50 ~ 5e21 is far outside any physical value.
 _LOG_BOUND = 50.0
 
-_LOG_IDX = np.array(LOG_SCALE_INDICES)
 
-# Bounds on every internal coordinate, as applied by _project.
-_LOWER, _UPPER = np.array(
-    [EXPONENT_BOUNDS.get(k, (-_LOG_BOUND, _LOG_BOUND)) for k in range(N_PARAMETERS)]
-).T
+def _bounds(interval) -> tuple:
+    if interval is None:
+        return -_LOG_BOUND, _LOG_BOUND
+    lo, hi, lo_closed, hi_closed = interval
+    return (lo if lo_closed else lo + _EXP_MARGIN, hi if hi_closed else hi - _EXP_MARGIN)
+
+
+_LOWER, _UPPER = np.array([_bounds(interval) for _, interval in _DOMAIN]).T
+_LOG_IDX = np.array(LOG_SCALE_INDICES)
 
 
 # Damped Gauss-Newton settings, read at call time.
@@ -354,6 +353,9 @@ def initialize(spectrum: Spectrum) -> ParameterVector:
         wc1, h1 = omega[lo_band + j1], max(y[lo_band + j1], 1e-15)
         wc2, h2 = omega[lo_band + j2], max(y[lo_band + j2], 1e-15)
         for s in splits + (h1 / (h1 + h2),):
+            if not 0.0 < s < 1.0:
+                # a bump below the other's rounding: one arc would get no resistance
+                continue
             r1, r2 = s * r_sum, (1.0 - s) * r_sum
             p1, q1 = _arc_params(wc1, h1, r1)
             p2, q2 = _arc_params(wc2, h2, r2)

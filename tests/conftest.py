@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from eisopt import ParameterVector
+from eisopt.circuit import _DOMAIN, _FIELD_NAMES
 
 
 def random_theta(rng: np.random.Generator) -> ParameterVector:
@@ -33,8 +34,12 @@ def random_theta(rng: np.random.Generator) -> ParameterVector:
     )
 
 
-# The edges of the exponent intervals that ParameterVector admits.
-EDGES = {"phi_hf": -1.0, "phi_1": 1.0, "phi_lf": 0.0}
+# The closed end of each exponent's interval, keyed by field name.
+EDGES = {
+    field: interval[0] if interval[2] else interval[1]
+    for field, (_, interval) in zip(_FIELD_NAMES, _DOMAIN)
+    if interval is not None
+}
 
 
 @st.composite

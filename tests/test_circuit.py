@@ -182,6 +182,108 @@ def test_parameter_vector_invariants():
             ParameterVector.from_array(broken)
 
 
+# (parameter, value, its DomainError message, or None where it is admitted):
+# each end of every interval, the float just beyond it, NaN and +-inf.
+_DOMAIN_CASES = [
+    ("R_s", 0.0, "R_s must be positive and finite, got 0.0"),
+    ("R_s", -5e-324, "R_s must be positive and finite, got -5e-324"),
+    ("R_s", 5e-324, None),
+    ("R_s", 1.7976931348623157e+308, None),
+    ("R_s", math.nan, "R_s must be positive and finite, got nan"),
+    ("R_s", math.inf, "R_s must be positive and finite, got inf"),
+    ("R_s", -math.inf, "R_s must be positive and finite, got -inf"),
+    ("Q_HF", 0.0, "Q_HF must be positive and finite, got 0.0"),
+    ("Q_HF", -5e-324, "Q_HF must be positive and finite, got -5e-324"),
+    ("Q_HF", 5e-324, None),
+    ("Q_HF", 1.7976931348623157e+308, None),
+    ("Q_HF", math.nan, "Q_HF must be positive and finite, got nan"),
+    ("Q_HF", math.inf, "Q_HF must be positive and finite, got inf"),
+    ("Q_HF", -math.inf, "Q_HF must be positive and finite, got -inf"),
+    ("phi_HF", -1.0, None),
+    ("phi_HF", 0.0, "phi_HF must lie in [-1, 0), got 0.0"),
+    ("phi_HF", -1.0000000000000002, "phi_HF must lie in [-1, 0), got -1.0000000000000002"),
+    ("phi_HF", 5e-324, "phi_HF must lie in [-1, 0), got 5e-324"),
+    ("phi_HF", math.nan, "phi_HF must lie in [-1, 0), got nan"),
+    ("phi_HF", math.inf, "phi_HF must lie in [-1, 0), got inf"),
+    ("phi_HF", -math.inf, "phi_HF must lie in [-1, 0), got -inf"),
+    ("R_1", 0.0, "R_1 must be positive and finite, got 0.0"),
+    ("R_1", -5e-324, "R_1 must be positive and finite, got -5e-324"),
+    ("R_1", 5e-324, None),
+    ("R_1", 1.7976931348623157e+308, None),
+    ("R_1", math.nan, "R_1 must be positive and finite, got nan"),
+    ("R_1", math.inf, "R_1 must be positive and finite, got inf"),
+    ("R_1", -math.inf, "R_1 must be positive and finite, got -inf"),
+    ("Q_1", 0.0, "Q_1 must be positive and finite, got 0.0"),
+    ("Q_1", -5e-324, "Q_1 must be positive and finite, got -5e-324"),
+    ("Q_1", 5e-324, None),
+    ("Q_1", 1.7976931348623157e+308, None),
+    ("Q_1", math.nan, "Q_1 must be positive and finite, got nan"),
+    ("Q_1", math.inf, "Q_1 must be positive and finite, got inf"),
+    ("Q_1", -math.inf, "Q_1 must be positive and finite, got -inf"),
+    ("phi_1", 0.0, "phi_1 must lie in (0, 1], got 0.0"),
+    ("phi_1", 1.0, None),
+    ("phi_1", -5e-324, "phi_1 must lie in (0, 1], got -5e-324"),
+    ("phi_1", 1.0000000000000002, "phi_1 must lie in (0, 1], got 1.0000000000000002"),
+    ("phi_1", math.nan, "phi_1 must lie in (0, 1], got nan"),
+    ("phi_1", math.inf, "phi_1 must lie in (0, 1], got inf"),
+    ("phi_1", -math.inf, "phi_1 must lie in (0, 1], got -inf"),
+    ("R_2", 0.0, "R_2 must be positive and finite, got 0.0"),
+    ("R_2", -5e-324, "R_2 must be positive and finite, got -5e-324"),
+    ("R_2", 5e-324, None),
+    ("R_2", 1.7976931348623157e+308, None),
+    ("R_2", math.nan, "R_2 must be positive and finite, got nan"),
+    ("R_2", math.inf, "R_2 must be positive and finite, got inf"),
+    ("R_2", -math.inf, "R_2 must be positive and finite, got -inf"),
+    ("Q_2", 0.0, "Q_2 must be positive and finite, got 0.0"),
+    ("Q_2", -5e-324, "Q_2 must be positive and finite, got -5e-324"),
+    ("Q_2", 5e-324, None),
+    ("Q_2", 1.7976931348623157e+308, None),
+    ("Q_2", math.nan, "Q_2 must be positive and finite, got nan"),
+    ("Q_2", math.inf, "Q_2 must be positive and finite, got inf"),
+    ("Q_2", -math.inf, "Q_2 must be positive and finite, got -inf"),
+    ("phi_2", 0.0, "phi_2 must lie in (0, 1], got 0.0"),
+    ("phi_2", 1.0, None),
+    ("phi_2", -5e-324, "phi_2 must lie in (0, 1], got -5e-324"),
+    ("phi_2", 1.0000000000000002, "phi_2 must lie in (0, 1], got 1.0000000000000002"),
+    ("phi_2", math.nan, "phi_2 must lie in (0, 1], got nan"),
+    ("phi_2", math.inf, "phi_2 must lie in (0, 1], got inf"),
+    ("phi_2", -math.inf, "phi_2 must lie in (0, 1], got -inf"),
+    ("Q_LF", 0.0, "Q_LF must be positive and finite, got 0.0"),
+    ("Q_LF", -5e-324, "Q_LF must be positive and finite, got -5e-324"),
+    ("Q_LF", 5e-324, None),
+    ("Q_LF", 1.7976931348623157e+308, None),
+    ("Q_LF", math.nan, "Q_LF must be positive and finite, got nan"),
+    ("Q_LF", math.inf, "Q_LF must be positive and finite, got inf"),
+    ("Q_LF", -math.inf, "Q_LF must be positive and finite, got -inf"),
+    ("phi_LF", 0.0, None),
+    ("phi_LF", 1.0, "phi_LF must lie in [0, 1), got 1.0"),
+    ("phi_LF", -5e-324, "phi_LF must lie in [0, 1), got -5e-324"),
+    ("phi_LF", 1.0000000000000002, "phi_LF must lie in [0, 1), got 1.0000000000000002"),
+    ("phi_LF", math.nan, "phi_LF must lie in [0, 1), got nan"),
+    ("phi_LF", math.inf, "phi_LF must lie in [0, 1), got inf"),
+    ("phi_LF", -math.inf, "phi_LF must lie in [0, 1), got -inf"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", _DOMAIN_CASES)
+def test_each_inadmissible_value_names_its_parameter_and_interval(name, value, message):
+    values = STATE_A.to_array()
+    values[PARAMETER_NAMES.index(name)] = value
+    if message is None:
+        assert ParameterVector.from_array(values).to_dict()[name] == value
+    else:
+        with pytest.raises(DomainError) as exc:
+            ParameterVector.from_array(values)
+        assert str(exc.value) == message
+
+
+def test_the_first_inadmissible_value_in_canonical_order_is_named():
+    values = STATE_A.to_array()
+    values[2], values[3] = 0.5, -1.0  # phi_HF, then R_1
+    with pytest.raises(DomainError, match=r"^phi_HF must lie in \[-1, 0\), got 0.5$"):
+        ParameterVector.from_array(values)
+
+
 def test_parameter_vector_round_trips():
     assert ParameterVector.from_array(STATE_A.to_array()) == STATE_A
     assert ParameterVector.from_dict(STATE_A.to_dict()) == STATE_A

@@ -540,6 +540,25 @@ def test_config_value_of_wrong_json_type_is_usage_error(tmp_path, capsys, case):
         assert f"config value {field} must be" in capsys.readouterr().err
 
 
+# A fixture mapping follows the config's own rules: known keys and JSON
+# numbers only, so a string, a bool or a misspelt parameter is named.
+_BAD_FIXTURE_VALUES = {
+    "string": ("R_s", "0.001937", "config value fixture.R_s must be a number"),
+    "bool": ("phi_1", True, "config value fixture.phi_1 must be a number"),
+    "unknown": ("R_x", 1.0, "unknown config field fixture.R_x"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_FIXTURE_VALUES)
+def test_fixture_mapping_of_wrong_key_or_type_is_usage_error(tmp_path, capsys, case):
+    key, value, message = _BAD_FIXTURE_VALUES[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fixture": {**STATE_A.to_dict(), key: value}}))
+    rc = main(["synth", "--output-dir", str(tmp_path), "--config", str(cfg)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 # Sections that are not objects of known keys must exit 2 and name the
 # section or key, for every command: a misspelt key must not leave its
 # default in force, and grid has no "reductions" or "family", since only a

@@ -541,8 +541,8 @@ def test_loop_zero_iterations_reports_reduced_grid_state():
 
 
 def test_loop_needs_its_error_model_and_reference_grid():
-    for missing in ("err", "reference_grid"):
-        kwargs = {"err": ERR, "reference_grid": BASELINE}
+    for missing in ("err", "reference_grid", "seed"):
+        kwargs = {"err": ERR, "reference_grid": BASELINE, "seed": 0}
         del kwargs[missing]
         with pytest.raises(TypeError, match=missing):
             run_design(SPECTRUM, STATE_A, CFG, **kwargs)

@@ -1,6 +1,7 @@
 """Geometric initialization and weighted complex least-squares fitting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import decreasing_frequencies, thetas
 from eisopt import (
     DomainError,
     ErrorStructure,
+    FitError,
     FrequencyGrid,
     InitializationError,
     STATE_A,
@@ -18,11 +20,14 @@ from eisopt import (
     fit_wcnls,
     initialize,
     log_spaced,
+    log_spaced_inclusive,
     model_polar,
+    reduce_ppd,
     synthesize,
 )
 import eisopt.estimation
-from eisopt.circuit import _impedance_and_gradient
+from eisopt.circuit import LOG_SCALE_INDICES, N_PARAMETERS, _impedance_and_gradient
+from eisopt.estimation import _LOWER, _UPPER, _from_internal, _project
 from eisopt.measurement import Spectrum
 
 
@@ -211,6 +216,41 @@ def test_a_nan_candidate_raises_the_domain_error_of_its_vector():
     args[4], args[5] = q, phi
     with pytest.raises(DomainError, match="^Q_1 must be positive and finite, got nan$"):
         _candidate(*args)
+
+
+def test_initialize_skips_an_arc_of_zero_resistance():
+    # Drawn over the whole admissible domain.  One bump is below the other's
+    # rounding, so the height-ratio split h1/(h1 + h2) is exactly 1 and
+    # would give the second arc zero resistance.
+    theta = ParameterVector.from_array([
+        0.017978681432960046, 8226.366223005538, -0.636668608554726,
+        0.0001029355456454337, 2.3595131615254252e-05, 0.5654837920917276,
+        273.4405763922544, 1.679555773222765e-06, 0.8656634618701456,
+        459470.87998123706, 0.5423265014841474,
+    ])
+    grid = reduce_ppd(log_spaced_inclusive(1e4, 0.01, 10), 0.1, 7)
+    spectrum = synthesize(theta, grid, ERR, seed=90)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        start = initialize(spectrum)
+        with pytest.raises(FitError):
+            fit_wcnls(spectrum, start)
+
+
+def test_projection_bounds_are_pinned():
+    lower = [-50.0, -50.0, -1.0, -50.0, -50.0, 1e-09, -50.0, -50.0, 1e-09, -50.0, 0.0]
+    upper = [50.0, 50.0, -1e-09, 50.0, 50.0, 1.0, 50.0, 50.0, 1.0, 50.0, 0.999999999]
+    assert _LOWER.tobytes() == np.array(lower).tobytes()
+    assert _UPPER.tobytes() == np.array(upper).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.tuples(*(
+    st.floats(-60.0, 60.0) if k in LOG_SCALE_INDICES else st.floats(-2.0, 2.0)
+    for k in range(N_PARAMETERS)
+)))
+def test_projected_iterates_are_admissible(x):
+    ParameterVector.from_array(_from_internal(_project(np.array(x))))
 
 
 def test_noisy_fits_stay_near_truth():
