@@ -150,33 +150,41 @@ def _impedance_and_gradient(theta: np.ndarray, omega: np.ndarray):
 
     Returns (z, dz) with z of shape (n,) and dz of shape (n, 11), both
     complex.  theta is the canonical 11-array; omega in rad/s, positive.
+
+    Each pair of like blocks runs as one stacked (2, n) array, its
+    parameters taken by basic slices of theta, and dz is filled as its
+    transpose, a row per parameter written by slices, then returned
+    C-contiguous.  The per-element operations and their order are those of
+    one block at a time, for about two thirds of the NumPy calls.
     """
-    rs, qhf, phf, r1, q1, p1, r2, q2, p2, qlf, plf = theta
     n = omega.size
     lnjw = np.log(omega) + 1j * (np.pi / 2.0)
 
-    z = np.full(n, rs, dtype=complex)
-    dz = np.zeros((n, N_PARAMETERS), dtype=complex)
-    dz[:, 0] = 1.0
+    z = np.full(n, theta[0], dtype=complex)
+    dzt = np.empty((N_PARAMETERS, n), dtype=complex)
+    dzt[0] = 1.0
 
     # CPE blocks (HF, LF): Z = 1/(Q*s), s = (j*w)**phi.
-    for q, phi, iq, iphi in ((qhf, phf, 1, 2), (qlf, plf, 9, 10)):
-        zb = np.exp(-phi * lnjw) / q
-        z += zb
-        dz[:, iq] = -zb / q
-        dz[:, iphi] = -zb * lnjw
+    q, phi = theta[1:10:8, None], theta[2:11:8, None]
+    zb = np.exp(-phi * lnjw) / q
+    z += zb[0]
+    z += zb[1]
+    dzt[1:10:8] = -zb / q
+    dzt[2:11:8] = -zb * lnjw
 
-    # Zarc blocks: Z = R/(1 + R*Q*s).
-    for r, q, phi, ir, iq, iphi in ((r1, q1, p1, 3, 4, 5), (r2, q2, p2, 6, 7, 8)):
-        s = np.exp(phi * lnjw)
-        inv_den = 1.0 / (1.0 + r * q * s)
-        z += r * inv_den
-        common = inv_den * inv_den
-        dz[:, ir] = common
-        dz[:, iq] = -(r * r) * s * common
-        dz[:, iphi] = -(r * r) * q * s * lnjw * common
+    # Zarc blocks (1, 2): Z = R/(1 + R*Q*s).
+    r, q, phi = theta[3:9:3, None], theta[4:10:3, None], theta[5:11:3, None]
+    s = np.exp(phi * lnjw)
+    inv_den = 1.0 / (1.0 + r * q * s)
+    zb = r * inv_den
+    z += zb[0]
+    z += zb[1]
+    common = inv_den * inv_den
+    dzt[3:9:3] = common
+    dzt[4:10:3] = -(r * r) * s * common
+    dzt[5:11:3] = -(r * r) * q * s * lnjw * common
 
-    return z, dz
+    return z, dzt.T.copy()
 
 
 def _polar_sensitivities(z: np.ndarray, dz: np.ndarray):

@@ -116,6 +116,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     a value whose default is a count or a number must be a JSON integer or
     number, never true or false, so 5.7, true or "1e4" is named instead of
     read as 5, 1 or 1e4.  DesignConfig checks the values of its section.
+    The fixture is checked here too, so a command that never reads it, such
+    as ``fit``, refuses a bad one instead of hashing it into provenance.
     """
     updates = []
     for key, value in _load_config_file(args.config).items():
@@ -148,6 +150,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             raise DomainError(f"config value seed must be >= 0, got {value!r}")
         if field == "output_dir" and not isinstance(value, (str, type(None))):
             raise DomainError(f"config value output_dir must be a string, got {value!r}")
+        if field == "fixture":
+            _fixture_theta(value)
         (cfg[section] if section else cfg)[name] = value
     return cfg
 
@@ -161,8 +165,8 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
-def _theta_from_config(cfg: dict) -> ParameterVector:
-    fixture = cfg["fixture"]
+def _fixture_theta(fixture) -> ParameterVector:
+    """The parameters a config's ``fixture`` names or maps."""
     if isinstance(fixture, str):
         return get_fixture(fixture)
     if isinstance(fixture, dict):
@@ -228,7 +232,7 @@ def _parse_list(text: str, flag: str, kind) -> list:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    theta = _theta_from_config(cfg)
+    theta = _fixture_theta(cfg["fixture"])
     err = _error_from_config(cfg)
     grid = _grid_from_config(cfg, log_spaced)
     prov = _provenance(cfg)
@@ -267,7 +271,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_crlb_sweep(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    theta = _theta_from_config(cfg)
+    theta = _fixture_theta(cfg["fixture"])
     err = _error_from_config(cfg)
     baseline = _grid_from_config(cfg, log_spaced_inclusive)
     prov = _provenance(cfg)
@@ -295,7 +299,7 @@ def cmd_crlb_sweep(args: argparse.Namespace) -> int:
 
 def cmd_design(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    theta = _theta_from_config(cfg)
+    theta = _fixture_theta(cfg["fixture"])
     err = _error_from_config(cfg)
     baseline = _grid_from_config(cfg, log_spaced_inclusive)
     design_cfg = DesignConfig(**cfg["design"], n_p=cfg["n_p"])
@@ -342,7 +346,7 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    theta = _theta_from_config(cfg)
+    theta = _fixture_theta(cfg["fixture"])
     err = _error_from_config(cfg)
     baseline = _grid_from_config(cfg, log_spaced_inclusive)
     prov = _provenance(cfg)

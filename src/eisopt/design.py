@@ -32,7 +32,9 @@ from .estimation import fit_wcnls, initialize
 from .frequency import FrequencyGrid, _count, total_time
 from .information import (
     FisherMatrix,
+    _outer_products,
     _scaled,
+    _sensitivities,
     ellipsoid_log_volume,
     fisher,
     fisher_contributions,
@@ -138,7 +140,7 @@ class AdjustmentTrace:
 
 # Rounding allowance on every Rayleigh bound, relative to the largest scaled
 # eigenvalue: eigvalsh is backward stable (error a few eps * lambda_max) and
-# the 121-term quadratic form rounds by at most ~121 * eps * lambda_max
+# the bound's quadratic forms round by at most ~121 * eps * lambda_max
 # ~ 3e-14 * lambda_max, so 1e-10 exceeds both by over three orders.
 _BOUND_SLACK = 1e-10
 
@@ -150,22 +152,34 @@ _BOUND_SLACK = 1e-10
 # one chunk of four certified the first in 503-580 of each constraint's 720.
 _SCAN_CHUNK = 4
 
+# Walk ladders one climb batch holds along the accepted direction.  On the
+# 240 climbs of STATE_A and STATE_B at ppd 7 and 9 below 0.1 Hz (synth seed
+# 3, run seed 4, 60 iterations), depths 1-6 took 122, 107, 105, 104, 106 and
+# 110 ms on one core: a deeper batch saves calls but evaluates and solves
+# more probes that the walk never asks.
+_LOOK_AHEAD = 3
+
 
 class _EigenWorkspace:
     """Cached per-point information pieces for batched what-if evaluation.
 
-    Moving point i to frequency f changes the information matrix by
-    -P_i + P(f).  :meth:`lambdas_with_moves` answers a whole batch of such
-    questions with one model evaluation over all probe frequencies and one
-    stacked 11x11 eigendecomposition.
+    Moving point i to frequency f changes the information matrix T by
+    -P_i + P(f).  :meth:`probe` takes a whole batch of such moves through
+    one model evaluation and bounds every move's eigenvalue from its
+    per-point terms; only the moves a decision compares are then built as
+    11x11 matrices and solved, in one stacked eigendecomposition per call.
 
-    The workspace also keeps u = D v_0, where D = diag(|theta|) is the unit
-    scaling and v_0 the unit eigenvector of the smallest eigenvalue of the
-    scaled total.  By Courant-Fischer, u^T M u >= lambda_min(D M D) for
-    every moved matrix M, so ``u^T M u + slack`` certifies an upper bound on
-    a move's eigenvalue for the price of one quadratic form.  Bounds only decide
-    which moves need solving; every eigenvalue that a decision compares or
-    the trace records is solved by the same ``eigvalsh`` as without them.
+    The bound: the workspace keeps u = D v_0, where D = diag(|theta|) is
+    the unit scaling and v_0 the unit eigenvector of the smallest
+    eigenvalue of the scaled total.  By Courant-Fischer,
+    u^T M u >= lambda_min(D M D) for every moved matrix M, and
+
+        u^T M u = u^T T u - u^T P_i u + w_mag (dmag . u)^2 + w_phase (dphase . u)^2,
+
+    whose first two terms the workspace keeps per grid point, so a bound
+    costs two dot products per probe.  Bounds only decide which moves need
+    solving; every eigenvalue that a decision compares or the trace
+    records is solved by the same ``eigvalsh`` as without them.
 
     ``fim`` is the grid's information matrix, built exactly as
     :func:`fisher` builds it, so the loop's volume needs no second model
@@ -183,37 +197,47 @@ class _EigenWorkspace:
         scale, scaled, eigvals = _scaled(self.total, theta)
         self._outer = np.outer(scale, scale)
         self.lambda_min = float(eigvals[0])
-        self._u = scale * np.linalg.eigh(scaled)[1][:, 0]
-        self._slack = _BOUND_SLACK * eigvals[-1]
+        self._u = u = scale * np.linalg.eigh(scaled)[1][:, 0]
+        # u^T T u - u^T P_i u plus the rounding slack, per grid point i
+        self._rest = self.total @ u @ u - self.parts @ u @ u + _BOUND_SLACK * eigvals[-1]
 
-    def _moved(self, indices, freqs_hz) -> np.ndarray:
-        """Stack of unscaled information matrices, one per move."""
-        freqs = np.asarray(freqs_hz, dtype=float)
-        contrib = fisher_contributions(self.theta, freqs, self.err)
-        return self.total - self.parts[np.asarray(indices)] + contrib
+    def probe(self, indices, freqs_hz):
+        """Bounds on, and exact values of, the smallest scaled eigenvalue
+        after moving point ``indices[k]`` to ``freqs_hz[k]``, each move on
+        its own; ``indices`` may be one index for every move.
 
-    def _solve(self, moved: np.ndarray) -> np.ndarray:
-        return np.linalg.eigvalsh(moved * self._outer)[:, 0]
-
-    def _bounds(self, moved: np.ndarray) -> np.ndarray:
-        return moved @ self._u @ self._u + self._slack
-
-    def lambdas_with_moves(self, indices, freqs_hz, floor) -> np.ndarray:
-        """Smallest scaled eigenvalue after moving point ``indices[k]`` to
-        ``freqs_hz[k]``, for every k; each move is applied on its own.
-
-        Only the moves whose Rayleigh bound exceeds ``floor`` are solved;
-        every other entry is its bound, which lies between the move's
-        eigenvalue and ``floor``.  So every entry above ``floor`` is exact,
-        and a comparison ``entry > floor`` decides as the exact eigenvalue
-        would.  A NaN bound proves nothing and is solved.
+        Returns ``(bounds, solve)``.  ``bounds[k]`` is at least move k's
+        eigenvalue; a NaN bound proves nothing.  ``solve(rows)`` builds the
+        moved matrices of those rows and returns their eigenvalues, each
+        bit for bit what ``eigvalsh`` gives for the matrix built from the
+        full :func:`fisher_contributions`; a move whose matrix is not finite
+        gets NaN, which beats no floor.
         """
-        moved = self._moved(indices, freqs_hz)
-        lams = self._bounds(moved)
-        solve = ~(lams <= floor)
-        if solve.any():
-            lams[solve] = self._solve(moved[solve])
-        return lams
+        indices = np.asarray(indices)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w_mag, dmag, w_phase, dphase = _sensitivities(
+                self.theta, np.asarray(freqs_hz, dtype=float), self.err)
+            bounds = (self._rest[indices] + w_mag * (dmag @ self._u) ** 2
+                      + w_phase * (dphase @ self._u) ** 2)
+
+        def solve(rows):
+            with np.errstate(over="ignore", invalid="ignore"):
+                contrib = _outer_products(w_mag[rows], dmag[rows], w_phase, dphase[rows])
+                held = self.parts[indices[rows] if indices.ndim else indices]
+                scaled = (self.total - held + contrib) * self._outer
+            try:
+                return np.linalg.eigvalsh(scaled)[:, 0]
+            except np.linalg.LinAlgError:
+                # one matrix that is not finite fails the whole stacked call
+                finite = np.isfinite(scaled).all(axis=(1, 2))
+                if finite.all():
+                    raise
+                lams = np.full(len(finite), np.nan)
+                if finite.any():
+                    lams[finite] = np.linalg.eigvalsh(scaled[finite])[:, 0]
+                return lams
+
+        return bounds, solve
 
 
 def _frozen_set(grid: FrequencyGrid, cfg: DesignConfig) -> set:
@@ -263,13 +287,13 @@ def _scan_ranking(ws: _EigenWorkspace, grid: FrequencyGrid, cfg: DesignConfig):
     Equal scores order by index, so the ranking does not depend on
     evaluation order.
 
-    The ranking is certified rather than solved up front: one model
-    evaluation gives every probe's Rayleigh bound and hence an upper bound
-    on every score.  Exact scores are solved a few candidates at a time,
-    best bound first, and a candidate is yielded once no unsolved bound
-    reaches its score.  A caller that stops after the first candidates
-    pays only for the eigendecompositions those needed; the full expansion
-    equals the exhaustive ranking.
+    The ranking is certified rather than solved up front: one probe batch
+    gives every probe's Rayleigh bound and hence an upper bound on every
+    score.  Exact scores are solved a few candidates at a time, best bound
+    first, and a candidate is yielded once no unsolved bound reaches its
+    score.  A caller that stops after the first candidates pays only for
+    the eigendecompositions those needed; the full expansion equals the
+    exhaustive ranking.
     """
     frozen = _frozen_set(grid, cfg)
     if len(frozen) >= len(grid):
@@ -278,11 +302,11 @@ def _scan_ranking(ws: _EigenWorkspace, grid: FrequencyGrid, cfg: DesignConfig):
     step = SCAN_STEP_DECADES
     indices = np.repeat(free, 2)
     targets = np.array([
-        math.log10(ws.freqs[i]) + sign * step for i in free for sign in (1.0, -1.0)
+        math.log10(f) + sign * step for f in ws.freqs[free].tolist() for sign in (1.0, -1.0)
     ])
     _, probes, ok = _landing(grid, cfg, indices, targets)
-    moved = ws._moved(indices, probes)
-    bounds = np.where(ok, ws._bounds(moved), -np.inf).reshape(-1, 2)
+    probe_bounds, solve = ws.probe(indices, probes)
+    bounds = np.where(ok, probe_bounds, -np.inf).reshape(-1, 2)
     bounds = np.max((bounds - ws.lambda_min) / step, axis=1)
     bounds[np.isnan(bounds)] = np.inf  # proves nothing: solve it first
     unsolved = np.lexsort((free, -bounds)).tolist()
@@ -298,10 +322,94 @@ def _scan_ranking(ws: _EigenWorkspace, grid: FrequencyGrid, cfg: DesignConfig):
         chunk = unsolved[pos:pos + _SCAN_CHUNK]
         pos += len(chunk)
         rows = (2 * np.array(chunk)[:, None] + (0, 1)).ravel()
-        lams = np.where(ok[rows], ws._solve(moved[rows]), -np.inf).reshape(-1, 2)
-        for k, score in zip(chunk, np.max((lams - ws.lambda_min) / step, axis=1)):
+        lams = np.full(len(rows), -np.inf)
+        keep = ok[rows]
+        if keep.any():
+            lams[keep] = solve(rows[keep])
+        for k, score in zip(chunk, np.max((lams.reshape(-1, 2) - ws.lambda_min) / step, axis=1)):
             nan = bool(np.isnan(score))
             heapq.heappush(solved, (nan, 0.0 if nan else -score, free[k]))
+
+
+def _shrink_levels(step: float) -> list:
+    """A ladder's steps: ``step``, shrunk by ``CLIMB_SHRINK`` down to
+    ``CLIMB_STOP_DECADES``."""
+    steps = []
+    while step >= CLIMB_STOP_DECADES:
+        steps.append(step)
+        step *= CLIMB_SHRINK
+    return steps
+
+
+def _ray(origin: float, step: float, sign: float) -> list:
+    """The ``_LOOK_AHEAD`` walk ladders (origin, signs) from ``origin``
+    along ``sign``, each starting where the one before lands when its
+    first level gains without a clamp."""
+    ladders = []
+    for _ in range(_LOOK_AHEAD):
+        ladders.append((origin, (sign,)))
+        origin = origin + sign * step
+    return ladders
+
+
+class _Ladders:
+    """Climb ladders of one point with one first step, asked in one probe
+    batch.
+
+    A ladder (origin, step, signs) probes ``origin + sign * s`` at every
+    shrink level s from ``step`` down (:func:`_shrink_levels`), for each
+    sign, against a fixed eigenvalue.  Every probe of every ladder lands by
+    :func:`_landing` and gets its bound in one model evaluation.  Matrices
+    are built and solved lazily: the first level of every ladder at once,
+    against ``floor``, the lowest eigenvalue any of them is asked against;
+    the other levels of a ladder only when its first level gains nothing.
+    A probe whose bound cannot beat the eigenvalue it is asked against is
+    not solved, so every gain found is exact.
+    """
+
+    def __init__(self, ws, grid, cfg, index, floor, step, ladders):
+        self._steps = steps = _shrink_levels(step)
+        self._spans, targets, first = {}, [], []
+        for origin, signs in ladders:
+            self._spans[origin, step, signs] = len(targets)
+            first += range(len(targets), len(targets) + len(signs))
+            targets += [origin + sign * s for s in steps for sign in signs]
+        targets = np.array(targets)
+        self._logs, probes, self._ok = _landing(grid, cfg, index, targets)
+        self._clamped = self._logs != targets
+        self._bounds, self._solve = ws.probe(index, probes)
+        self._lams = np.full(len(targets), -np.inf)
+        self._settle(np.array(first), floor)
+
+    def __contains__(self, ladder) -> bool:
+        return ladder in self._spans
+
+    def _settle(self, rows, floor):
+        """Solve the admissible ``rows`` whose bound may beat ``floor``;
+        the others keep -inf, which beats no eigenvalue from ``floor`` up."""
+        rows = rows[self._ok[rows] & ~(self._bounds[rows] <= floor)]
+        if rows.size:
+            self._lams[rows] = self._solve(rows)
+
+    def climb(self, ladder, lam):
+        """The best admissible move of ``ladder`` at its first shrink level
+        that beats ``lam``, as (log f, eigenvalue, step, sign), or None;
+        and whether a probe it asked, at that level or above, was clamped.
+        Of equal gains the first sign's wins."""
+        start, signs = self._spans[ladder], ladder[2]
+        width = len(signs)
+        stop = start + len(self._steps) * width
+        if not (self._lams[start:start + width] > lam).any():
+            self._settle(np.arange(start + width, stop), lam)
+        lams = [x if x > lam else -math.inf for x in self._lams[start:stop].tolist()]
+        for level, step in enumerate(self._steps):
+            gains = lams[level * width:(level + 1) * width]
+            best = max(range(width), key=gains.__getitem__)
+            if gains[best] > -math.inf:
+                row = start + level * width
+                clamped = bool(self._clamped[start:row + width].any())
+                return (float(self._logs[row + best]), gains[best], step, signs[best]), clamped
+        return None, bool(self._clamped[start:stop].any())
 
 
 def adjust_frequency(ws: _EigenWorkspace, grid: FrequencyGrid, index: int,
@@ -318,55 +426,38 @@ def adjust_frequency(ws: _EigenWorkspace, grid: FrequencyGrid, index: int,
     ranks candidates by.
 
     From a fixed point the climb tries shrinking steps until one gains, so
-    each such run of probes is one batched ladder against a fixed
-    eigenvalue, taking the first level with a gain: the opening ladder
-    tries both directions and keeps the better one, and the walk then
-    repeats one-directional ladders from each accepted point.  These are
-    the probes a one-at-a-time search asks, with one what-if call per
-    accepted move.  Probes whose Rayleigh bound cannot beat the current
-    eigenvalue are not solved (see :meth:`_EigenWorkspace.lambdas_with_moves`),
-    so every accepted eigenvalue is exact.
+    each such run of probes is one ladder against a fixed eigenvalue,
+    taking the first level with a gain: the opening ladder tries both
+    directions and keeps the better one, and the walk then repeats
+    one-directional ladders from each accepted point.  These are the
+    probes and decisions of a one-at-a-time search, asked in look-ahead
+    batches (:class:`_Ladders`).  The opening batch holds the opening
+    ladder and, for each direction, the ``_LOOK_AHEAD`` ladders the walk
+    asks if every move is its ladder's first level; a walk batch holds the
+    next ``_LOOK_AHEAD`` ladders along the accepted direction.  A ladder
+    is taken from a batch only when the walk asks exactly it, so a move at
+    a lower level, a first-level move that landed clamped, or a used-up
+    batch starts a new batch.
     """
     if index in _frozen_set(grid, cfg):
         raise DesignError(f"frequency index {index} is frozen")
-    freqs = ws.freqs
-    clamped = False
-
-    def ladder(origin, lam, step, signs):
-        """(log f, eigenvalue, step, sign) of the best admissible move at
-        the first shrink level from ``step`` down that beats ``lam``, or
-        None."""
-        nonlocal clamped
-        steps = []
-        while step >= CLIMB_STOP_DECADES:
-            steps.append(step)
-            step *= CLIMB_SHRINK
-        targets = np.array([origin + sign * s for s in steps for sign in signs])
-        logs, probes, ok = _landing(grid, cfg, index, targets)
-        lams = np.full(len(logs), -np.inf)
-        if ok.any():
-            lams[ok] = ws.lambdas_with_moves(
-                [index] * int(ok.sum()), [f for f, k in zip(probes, ok) if k],
-                floor=lam,
-            )
-        gains = np.where(lams > lam, lams, -np.inf).reshape(len(steps), len(signs))
-        hits = np.flatnonzero(np.max(gains, axis=1) > -np.inf)
-        level = int(hits[0]) if hits.size else len(steps) - 1
-        asked = (level + 1) * len(signs)
-        clamped = clamped or bool(np.any(logs[:asked] != targets[:asked]))
-        if not hits.size:
-            return None
-        best = level * len(signs) + int(np.argmax(gains[level]))
-        return float(logs[best]), float(lams[best]), steps[level], signs[best % len(signs)]
-
-    found = ladder(math.log10(freqs[index]), ws.lambda_min, CLIMB_STEP_DECADES, (1.0, -1.0))
+    origin, lam, step = math.log10(ws.freqs[index]), ws.lambda_min, CLIMB_STEP_DECADES
+    signs = (1.0, -1.0)
+    batch = _Ladders(ws, grid, cfg, index, lam, step, [(origin, signs)] + [
+        ladder for sign in signs for ladder in _ray(origin + sign * step, step, sign)
+    ])
+    found, clamped = batch.climb((origin, step, signs), lam)
     if found is None:
-        return float(freqs[index]), "stalled", ws.lambda_min
+        return float(ws.freqs[index]), "stalled", ws.lambda_min
     while found is not None:
-        current_log, current_lam, step, direction = found
-        found = ladder(current_log, current_lam, step, (direction,))
+        origin, lam, step, sign = found
+        ladder = (origin, step, (sign,))
+        if ladder not in batch:
+            batch = _Ladders(ws, grid, cfg, index, lam, step, _ray(origin, step, sign))
+        found, asked_clamped = batch.climb(ladder, lam)
+        clamped = clamped or asked_clamped
     status = "floor-limited" if clamped else "adjusted"
-    return float(10.0**current_log), status, current_lam
+    return float(10.0**origin), status, lam
 
 
 def run_design(

@@ -75,25 +75,43 @@ def _point_weights(err: ErrorStructure, mag: np.ndarray):
     return w_mag, w_phase
 
 
+def _sensitivities(theta: ParameterVector, freqs_hz: np.ndarray, err: ErrorStructure):
+    """Per-point terms of the information: (w_mag, dmag, w_phase, dphase),
+    the magnitude weights and sensitivities of shape (n,) and (n, 11), the
+    phase weight and sensitivities.  Point k contributes
+    w_mag[k] dmag[k] dmag[k]^T + w_phase dphase[k] dphase[k]^T.
+
+    An extreme theta overflows to inf or NaN here and in
+    :func:`_outer_products`; the factorization reports that as a typed
+    error, so callers run both under ``np.errstate(over="ignore",
+    invalid="ignore")`` rather than let NumPy's warnings repeat it."""
+    z, dz = _impedance_and_gradient(theta.to_array(), 2.0 * np.pi * freqs_hz)
+    mag, dmag, dphase = _polar_sensitivities(z, dz)
+    w_mag, w_phase = _point_weights(err, mag)
+    return w_mag, dmag, w_phase, dphase
+
+
+def _outer_products(w_mag, dmag, w_phase, dphase) -> np.ndarray:
+    """The (n, 11, 11) contributions of :func:`_sensitivities`' terms, or of
+    any rows of them: each point's matrix depends on its own row alone."""
+    # (w d_j) d_k per point: the products of einsum("i,ij,ik->ijk", ...),
+    # in the same order, without its per-call set-up
+    out = (w_mag[:, None] * dmag)[:, :, None] * dmag[:, None, :]
+    out += (w_phase * dphase)[:, :, None] * dphase[:, None, :]
+    return out
+
+
 def fisher_contributions(theta: ParameterVector, grid, err: ErrorStructure) -> np.ndarray:
     """Per-frequency additive pieces of the information matrix.
 
     Returns shape (n, 11, 11); their sum equals :func:`fisher`'s matrix.
-    The adjustment loop uses these to re-evaluate candidate moves by
-    swapping a single summand instead of rebuilding the whole matrix.
+    The adjustment loop's workspace keeps these, and builds a moved point's
+    piece from the same terms (:func:`_sensitivities`) to swap one summand
+    instead of rebuilding the whole matrix.
     """
     freqs_hz = _frequencies(grid)
-    # An extreme theta overflows to inf or NaN here; the factorization
-    # reports that as a typed error, so NumPy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        z, dz = _impedance_and_gradient(theta.to_array(), 2.0 * np.pi * freqs_hz)
-        mag, dmag, dphase = _polar_sensitivities(z, dz)
-        w_mag, w_phase = _point_weights(err, mag)
-        # (w d_j) d_k per point: the products of einsum("i,ij,ik->ijk", ...),
-        # in the same order, without its per-call set-up
-        out = (w_mag[:, None] * dmag)[:, :, None] * dmag[:, None, :]
-        out += (w_phase * dphase)[:, :, None] * dphase[:, None, :]
-    return out
+        return _outer_products(*_sensitivities(theta, freqs_hz, err))
 
 
 def fisher(theta: ParameterVector, grid, err: ErrorStructure) -> FisherMatrix:

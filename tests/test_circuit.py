@@ -441,3 +441,37 @@ def test_impedance_kernel_is_bit_equal_to_the_gradient_kernel(stack, frequencies
     stacked = _impedance(rows, omega)
     assert stacked.shape == (len(stack), omega.size)
     assert np.array_equal(_bits(stacked), _bits(np.array(singles)))
+
+
+def _per_block_impedance_and_gradient(theta, omega):
+    """The kernel one block at a time: the reference the stacked kernel
+    must match bit for bit."""
+    rs, qhf, phf, r1, q1, p1, r2, q2, p2, qlf, plf = theta
+    lnjw = np.log(omega) + 1j * (np.pi / 2.0)
+    z = np.full(omega.size, rs, dtype=complex)
+    dz = np.zeros((omega.size, 11), dtype=complex)
+    dz[:, 0] = 1.0
+    for q, phi, iq, iphi in ((qhf, phf, 1, 2), (qlf, plf, 9, 10)):
+        zb = np.exp(-phi * lnjw) / q
+        z += zb
+        dz[:, iq] = -zb / q
+        dz[:, iphi] = -zb * lnjw
+    for r, q, phi, ir, iq, iphi in ((r1, q1, p1, 3, 4, 5), (r2, q2, p2, 6, 7, 8)):
+        s = np.exp(phi * lnjw)
+        inv_den = 1.0 / (1.0 + r * q * s)
+        z += r * inv_den
+        common = inv_den * inv_den
+        dz[:, ir] = common
+        dz[:, iq] = -(r * r) * s * common
+        dz[:, iphi] = -(r * r) * q * s * lnjw * common
+    return z, dz
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(theta=thetas(), frequencies=decreasing_frequencies())
+def test_stacked_kernel_is_bit_equal_to_the_per_block_kernel(theta, frequencies):
+    omega = 2.0 * np.pi * frequencies
+    z, dz = _impedance_and_gradient(theta.to_array(), omega)
+    ref_z, ref_dz = _per_block_impedance_and_gradient(theta.to_array(), omega)
+    assert np.array_equal(_bits(z), _bits(ref_z))
+    assert np.array_equal(_bits(dz), _bits(ref_dz))

@@ -750,3 +750,20 @@ def test_version_flag_exits_cleanly(capsys):
         main(["--version"])
     assert excinfo.value.code == 0
     assert "eisopt" in capsys.readouterr().out
+
+
+# fit never reads the fixture, but hashes it into provenance: a bad one is
+# refused like every other command refuses it, not written into the hash.
+@pytest.mark.parametrize("config, flags", [
+    ({"fixture": 5}, []),
+    ({"fixture": {"R_x": 1.0}}, []),
+    ({}, ["--fixture", "bogus"]),
+], ids=["number", "unknown-key", "unknown-name"])
+def test_fit_refuses_a_bad_fixture(tmp_path, capsys, config, flags):
+    assert main(["synth", "--output-dir", str(tmp_path)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(["fit", str(tmp_path / "spectrum.csv"), "--output-dir", str(tmp_path),
+               "--config", str(cfg)] + flags)
+    assert rc == 2
+    assert "fixture" in capsys.readouterr().err

@@ -24,6 +24,7 @@ from eisopt import (
     SingularInformationError,
     ellipsoid_log_volume,
     fisher,
+    fisher_contributions,
     log_spaced,
     log_spaced_inclusive,
     reduce_ppd,
@@ -32,11 +33,13 @@ from eisopt import (
     total_time,
 )
 import eisopt.design
+import eisopt.information
 from eisopt.design import (
     CLIMB_STEP_DECADES,
     CLIMB_STOP_DECADES,
     SCAN_STEP_DECADES,
     _EigenWorkspace,
+    _LOOK_AHEAD,
     _frozen_set,
     _landing,
     _scan_ranking,
@@ -49,16 +52,24 @@ COARSE = FrequencyGrid(tuple(np.logspace(3.0, -1.0, 9)))  # half-decade spacing
 
 class _StubWorkspace:
     """Duck-typed stand-in whose eigenvalue response is a known function of
-    the moved frequency alone."""
+    the moved frequency alone; its bounds are the exact values, which meet
+    the bound contract."""
 
     def __init__(self, grid, index, fn):
         self.freqs = grid.frequencies
         self._fn = fn
         self.lambda_min = fn(math.log10(self.freqs[index]))
+        self.batches = 0
 
-    def lambdas_with_moves(self, indices, freqs_hz, floor):
-        # exact values satisfy the floor contract, so the floor is ignored
-        return np.array([self._fn(math.log10(f)) for f in freqs_hz])
+    def probe(self, indices, freqs_hz):
+        self.batches += 1
+        lams = np.array([self._fn(math.log10(f)) for f in freqs_hz])
+        return lams.copy(), lambda rows: lams[rows]
+
+
+def _solved(ws, indices, freqs_hz):
+    """Every move of a probe batch, solved."""
+    return ws.probe(indices, freqs_hz)[1](np.arange(len(freqs_hz)))
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +123,7 @@ def test_scan_matches_exhaustive_recomputation():
     assert scores[expected[0]] > scores[expected[1]]
 
 
-def test_batched_what_ifs_match_full_recomputation():
+def test_probe_solves_match_full_recomputation():
     grid = FrequencyGrid(tuple(np.logspace(4.0, -2.0, 13)))
     ws = _EigenWorkspace(STATE_A, grid, ERR)
     scale = np.abs(STATE_A.to_array())
@@ -121,7 +132,7 @@ def test_batched_what_ifs_match_full_recomputation():
     # mixed indices, repeats, and moves both inside and outside the band
     indices = [5, 1, 5, 11, 0, 7]
     targets = [3.0, 2e3, 0.02, 0.004, 3e4, freqs[7]]
-    got = ws.lambdas_with_moves(indices, targets, -np.inf)  # below every bound: all solved
+    got = _solved(ws, indices, targets)
     assert got.shape == (len(indices),)
     for i, f, lam in zip(indices, targets, got):
         moved = freqs.copy()
@@ -165,7 +176,7 @@ def test_climb_finds_quadratic_peak_within_step_resolution():
     assert status == "adjusted"
     # one-directional climb: accuracy bounded by half the initial step
     assert abs(math.log10(f_new) - target) <= CLIMB_STEP_DECADES / 2 + 1e-12
-    after = stub.lambdas_with_moves([4], [f_new], stub.lambda_min)[0]
+    after = _solved(stub, 4, [f_new])[0]
     assert after > stub.lambda_min
     assert lam == after
 
@@ -273,8 +284,7 @@ def _sequential_climb(grid, index, cfg, ws):
             t_new = total_time(grid, cfg.n_p) - cfg.n_p / freqs[index] + cfg.n_p / 10.0**log_c
             if t_new > cfg.time_budget_s:
                 return None, None
-        # a floor below every bound solves the move exactly
-        return log_c, float(ws.lambdas_with_moves([index], [10.0**log_c], -np.inf)[0])
+        return log_c, float(_solved(ws, index, [10.0**log_c])[0])
 
     current_log, current_lam = math.log10(freqs[index]), ws.lambda_min
     step, direction = d.CLIMB_STEP_DECADES, None
@@ -332,7 +342,7 @@ def test_batched_climb_matches_sequential_climb(monkeypatch):
             statuses.add(got[1])
             if got[1] != "stalled":
                 # the returned eigenvalue is the moved grid's, solved exactly
-                assert got[2] == ws._solve(ws._moved([index], [got[0]]))[0]
+                assert got[2] == _solved(ws, index, [got[0]])[0]
     assert statuses == {"adjusted", "floor-limited", "stalled"}
 
 
@@ -350,34 +360,42 @@ _grids = st.builds(
 )
 
 
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
 @_PROPERTY
 @given(theta=thetas(), grid=_grids, data=st.data())
-def test_pruned_what_ifs_are_exact_above_the_floor_and_bound_it_below(theta, grid, data):
+def test_probe_bounds_hold_and_solved_rows_are_bit_equal(theta, grid, data):
     ws = _EigenWorkspace(theta, grid, ERR)
+    # moves in and far out of the band; at 1e-300 or 1e300 Hz a probe's
+    # terms overflow and its matrix is not finite
     moves = data.draw(st.lists(
-        st.tuples(st.integers(0, len(grid) - 1), st.floats(-3.0, 5.0)),
+        st.tuples(st.integers(0, len(grid) - 1),
+                  st.floats(-3.0, 5.0) | st.sampled_from((-300.0, 300.0))),
         min_size=1, max_size=12,
     ))
-    indices = [i for i, _ in moves]
+    indices = np.array([i for i, _ in moves])
     freqs = [10.0**log_f for _, log_f in moves]
-    moved = ws._moved(indices, freqs)
-    exact = ws._solve(moved)
-    bounds = ws._bounds(moved)
-    floor = data.draw(
-        st.sampled_from(
-            [ws.lambda_min] + exact.tolist() + np.nextafter(bounds, -np.inf).tolist()
-        )
-        | st.floats(-1.0, 1.0).map(lambda e: ws.lambda_min * 10.0**e)
-    )
-    got = ws.lambdas_with_moves(indices, freqs, floor=floor)
-    # exactly the moves whose bound exceeds the floor are solved
-    assert np.array_equal(got, np.where(bounds > floor, exact, bounds))
-    # every entry above the floor is solved, bit for bit as without a floor
-    above = got > floor
-    assert np.array_equal(got[above], exact[above])
-    # a pruned entry is a certificate: at most the floor, at least the eigenvalue
-    assert np.all(got[~above] <= floor)
-    assert np.all(got >= exact)
+    if data.draw(st.booleans()):  # one index for every move, as the climb asks
+        indices[:] = indices[0]
+        bounds, solve = ws.probe(int(indices[0]), freqs)
+    else:
+        bounds, solve = ws.probe(indices, freqs)
+    # the reference: each moved matrix built from the full per-point pieces
+    # and solved on its own
+    contrib = fisher_contributions(theta, np.array(freqs), ERR)
+    with np.errstate(over="ignore", invalid="ignore"):
+        moved = (ws.total - ws.parts[indices] + contrib) * ws._outer
+    finite = np.isfinite(moved).all(axis=(1, 2))
+    exact = np.array([np.linalg.eigvalsh(m)[0] if ok else np.nan
+                      for m, ok in zip(moved, finite)])
+    # every bound is at least the eigenvalue; a NaN bound proves nothing
+    assert not np.any(bounds[finite] < exact[finite])
+    # any rows, in any order, solve bit for bit as on their own
+    rows = np.array(data.draw(st.lists(st.integers(0, len(freqs) - 1),
+                                       min_size=1, unique=True)))
+    assert np.array_equal(_bits(solve(rows)), _bits(exact[rows]))
 
 
 @_PROPERTY
@@ -396,7 +414,7 @@ def test_lazy_ranking_equals_exhaustive_ranking(theta, grid):
     own = (np.repeat(np.arange(len(grid)), 2), np.arange(len(landed)))
     gaps[own] = np.where(landed == targets, np.inf, gaps[own])
     out = np.any(gaps < eisopt.design.MIN_SEPARATION_DECADES, axis=0)
-    lams = ws._solve(ws._moved(own[0], [10.0**x for x in landed.tolist()]))
+    lams = _solved(ws, own[0], [10.0**x for x in landed.tolist()])
     lams[out] = -np.inf
     scores = np.max((lams.reshape(-1, 2) - ws.lambda_min) / step, axis=1)
     assert lazy == np.lexsort((np.arange(len(grid)), -scores)).tolist()
@@ -421,7 +439,9 @@ def test_climb_matches_sequential_climb_over_the_domain(theta, grid, data):
     frozen = data.draw(st.booleans())
     cfg = DesignConfig(
         time_budget_s=None if budget is None else budget * total_time(grid, 5),
-        min_frequency_hz=data.draw(st.sampled_from((None, 0.03))),
+        # a floor between grid points clamps a walk's probe mid-ray
+        min_frequency_hz=data.draw(st.sampled_from((None, 0.03))
+                                   | st.floats(-2.0, 1.0).map(lambda x: 10.0**x)),
         freeze_endpoints=frozen,
     )
     free = st.integers(1, len(grid) - 2) if frozen else st.integers(0, len(grid) - 1)
@@ -436,6 +456,21 @@ def test_climb_matches_sequential_climb_over_the_domain(theta, grid, data):
                 # decade or more, which a patched separation may exceed.
                 moved = abs(math.log10(got[0]) - math.log10(grid.frequencies[index]))
                 assert moved >= min(separation, CLIMB_STOP_DECADES)
+            # A response peaked decades away walks far longer than one
+            # batch looks ahead, through new batches and clamps.
+            origin = math.log10(grid.frequencies[index])
+            sign = data.draw(st.sampled_from((1.0, -1.0)))
+            peak = origin + sign * data.draw(st.floats(0.5, 3.0))
+            walk_cfg = cfg
+            if sign < 0 and data.draw(st.booleans()):
+                # a floor a few steps down the walk, where a ray probe clamps
+                floor = 10.0 ** (origin - data.draw(st.floats(0.12, 0.4)))
+                walk_cfg = replace(cfg, min_frequency_hz=floor)
+            stub = _StubWorkspace(grid, index, lambda lf: -abs(lf - peak))
+            got = adjust_frequency(stub, grid, index, walk_cfg)
+            assert got == _sequential_climb(grid, index, walk_cfg, stub)
+            if abs(math.log10(got[0]) - origin) > (_LOOK_AHEAD + 2) * CLIMB_STEP_DECADES:
+                assert stub.batches >= 3  # the opening batch and two walk batches at least
 
 
 # ---------------------------------------------------------------------------
@@ -747,3 +782,31 @@ def test_design_traces_are_bit_stable(case, tmp_path):
     got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
                 for name in ("trace.jsonl", "trace.csv"))
     assert got == _BIT_STABLE_TRACES[case]
+
+
+def test_the_loop_solves_only_the_what_ifs_its_decisions_compare(monkeypatch):
+    # The STATE_A case of the pins above, counted: eigvalsh matrices and
+    # model evaluations through eisopt.information (each iteration's
+    # workspace, reference volume and scan, plus the climb's probe
+    # batches).  A fixed seed repeats them exactly.  Before the climb
+    # asked look-ahead batches and solved ladders level by level, the same
+    # run took 1,066 matrices and 158 evaluations.
+    counts = {"matrices": 0, "evaluations": 0}
+    eigvalsh = np.linalg.eigvalsh
+    evaluate = eisopt.information._impedance_and_gradient
+
+    def counted_eigvalsh(a):
+        counts["matrices"] += math.prod(np.shape(a)[:-2])
+        return eigvalsh(a)
+
+    def counted_evaluate(theta, omega):
+        counts["evaluations"] += 1
+        return evaluate(theta, omega)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(eisopt.information, "_impedance_and_gradient", counted_evaluate)
+    grid = reduce_ppd(BASELINE, 0.1, 7)
+    spectrum = synthesize(STATE_A, grid, ERR, seed=3)
+    run_design(spectrum, STATE_A, DesignConfig(max_iterations=20), err=ERR,
+               reference_grid=BASELINE, seed=4)
+    assert counts == {"matrices": 550, "evaluations": 106}

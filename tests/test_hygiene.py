@@ -2,7 +2,8 @@
 the standard library, NumPy and eisopt at module level, no module imports
 SciPy and no command or report loads it, only ``eisopt.measurement`` writes CSV or JSON
 files, one function of ``eisopt.design`` holds the loop's move rule, every
-binding the benchmark's tracer wraps exists, and every public name, and
+binding the benchmark's tracer wraps exists and wraps every module's
+import of a traced layer, and every public name, and
 every public method or property of a public class, has a use outside the
 tests."""
 
@@ -250,6 +251,36 @@ def test_every_traced_binding_exists():
     missing = [f"{module}.{attr}" for module, attr in bindings
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == [], f"bindings the benchmark tracer cannot find: {missing}"
+
+
+# The layers the tracer counts per call: a module that binds one of these
+# by name and is not wrapped there would evaluate the model unseen.
+_TRACED_LAYERS = {"_impedance_and_gradient", "fisher_contributions"}
+
+
+def _untraced_layer_imports(modules, bindings):
+    """(module, name) of every import of a traced layer, by name, that the
+    tracer's bindings do not wrap."""
+    return sorted(
+        (module, name) for module, tree in modules
+        for name, origin in _imported(tree)
+        if origin.rsplit(".", 1)[-1] in _TRACED_LAYERS and (module, name) not in bindings
+    )
+
+
+def test_every_import_of_a_traced_layer_is_traced():
+    modules = [(f"eisopt.{p.stem}", ast.parse(p.read_text(encoding="utf-8"))) for p in MODULES]
+    bindings = set(_tracer_bindings())
+    assert ("eisopt.design", "fisher_contributions") in bindings
+    assert _untraced_layer_imports(modules, bindings) == []
+
+
+def test_the_traced_layer_check_sees_untraced_imports():
+    tree = ast.parse("from .circuit import _impedance_and_gradient, model_polar\n"
+                     "from .information import fisher_contributions as parts\n")
+    bindings = {("eisopt.probe", "_impedance_and_gradient")}
+    assert _untraced_layer_imports([("eisopt.probe", tree)], bindings) == [
+        ("eisopt.probe", "parts")]
 
 
 # A public name that only the tests call is code kept working for no user.
