@@ -11,13 +11,22 @@ coefficients (they span ten orders of magnitude and must stay positive),
 linear for the four exponents, which are kept inside their admissible
 intervals by projection after every step.
 
+A rejected trial step is retried once at the same damping with its
+geodesic acceleration added (Transtrum & Sethna, arXiv:1201.5885): one
+impedance-only evaluation a short way along the step gives the model's
+second directional derivative, and the damped matrix of the step turns
+it into the acceleration.  Only when that retry is skipped or rejected
+too does the damping rise.  In a sloppy valley this replaces the
+up-then-down damping ping-pong of small accepted steps with one bent
+step; a fit that rejects no trial runs exactly as it would without it.
+
 Initialization reads the circuit blocks off the spectrum's shape: the
 series resistance from the high-frequency real-axis crossing, the
 high-frequency CPE from the slope of the inductive tail, the diffusion
 branch from a straight-line fit to the low-frequency points, and the two
 mid-frequency arcs from the bumps left after subtracting everything else,
 with the resistance split between the arcs chosen by objective value among
-a handful of candidates.
+a handful of candidates, built as one array and scored in one evaluation.
 """
 
 from __future__ import annotations
@@ -72,6 +81,13 @@ DAMPING_MAX = 1e14
 # scale parameters); keeps a bad quadratic model from launching the
 # iterate many orders of magnitude away.
 MAX_STEP = 3.0
+# A trial step rejected at some damping is retried once at that damping
+# with its geodesic acceleration added (Transtrum & Sethna,
+# arXiv:1201.5885): the probe distance h, as a fraction of the step, of
+# the finite difference for the second directional derivative, and the
+# largest 2|a|/|v| for which the accelerated step is tried.
+ACCELERATION_PROBE = 0.1
+ACCELERATION_RATIO = 0.75
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,6 +150,30 @@ def _weighted_residuals(spectrum: Spectrum, z: np.ndarray) -> np.ndarray:
     )
 
 
+def _acceleration(spectrum, omega, x, r, jac, m, velocity):
+    """The geodesic acceleration of the damped step ``velocity``, or None.
+
+    The weighted model's second directional derivative along the step
+    comes from one impedance-only evaluation at ``x + h*velocity``,
+    h = ACCELERATION_PROBE:  m_vv ~ (2/h)((r - r_h)/h - J v).  The
+    acceleration a = -(J^T J + lam D)^-1 J^T m_vv reuses the damped
+    matrix ``m``.  None when a is not finite or too large for the
+    second-order expansion to be trusted: 2|a| > ACCELERATION_RATIO |v|.
+    """
+    h = ACCELERATION_PROBE
+    # The probe is not capped like a trial step, so it may overflow, or
+    # underflow a coefficient to zero; the acceleration is then not finite.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r_h = _weighted_residuals(spectrum, _impedance(_from_internal(x + h * velocity), omega))
+        m_vv = (2.0 / h) * ((r - r_h) / h - jac @ velocity)
+        accel = -np.linalg.solve(m, jac.T @ m_vv)
+        # a finite acceleration's norm may still overflow, to inf > |v|
+        too_big = 2.0 * np.linalg.norm(accel) > ACCELERATION_RATIO * np.linalg.norm(velocity)
+    if too_big or not np.isfinite(accel).all():
+        return None
+    return accel
+
+
 def fit_wcnls(spectrum: Spectrum, theta_start: ParameterVector) -> FitResult:
     """Minimize the weighted magnitude/phase objective from ``theta_start``.
 
@@ -156,6 +196,19 @@ def fit_wcnls(spectrum: Spectrum, theta_start: ParameterVector) -> FitResult:
         np.divide(dmag, sigma_mag, out=jac[:n])
         np.divide(dphase, sigma_phase, out=jac[n:])
         jac[:, _LOG_IDX] *= theta_arr[_LOG_IDX]
+
+    def trial(delta):
+        # The capped, projected step from x: its iterate, relative size,
+        # model, residuals and objective.
+        biggest = float(np.abs(delta).max())
+        if biggest > MAX_STEP:
+            delta = delta * (MAX_STEP / biggest)
+        x_new = _project(x + delta)
+        step = float((np.abs(x_new - x) / (1.0 + np.abs(x))).max())
+        theta_new = _from_internal(x_new)
+        z, dz = _impedance_and_gradient(theta_new, omega)
+        r_new = _weighted_residuals(spectrum, z)
+        return x_new, step, theta_new, z, dz, r_new, float(r_new @ r_new)
 
     x = _project(_to_internal(theta_start.to_array()))
     theta_arr = _from_internal(x)
@@ -180,19 +233,23 @@ def fit_wcnls(spectrum: Spectrum, theta_start: ParameterVector) -> FitResult:
             m = a.copy()
             m.flat[:: N_PARAMETERS + 1] += lam * diag
             try:
-                delta = np.linalg.solve(m, g)
+                velocity = np.linalg.solve(m, g)
             except np.linalg.LinAlgError:
                 lam *= DAMPING_FACTOR
                 continue
-            biggest = float(np.abs(delta).max())
-            if biggest > MAX_STEP:
-                delta = delta * (MAX_STEP / biggest)
-            x_new = _project(x + delta)
-            step = float((np.abs(x_new - x) / (1.0 + np.abs(x))).max())
-            theta_new = _from_internal(x_new)
-            z, dz = _impedance_and_gradient(theta_new, omega)
-            r_new = _weighted_residuals(spectrum, z)
-            obj_new = float(r_new @ r_new)
+            x_new, step, theta_new, z, dz, r_new, obj_new = trial(velocity)
+            if not (np.isfinite(obj_new) and obj_new < obj):
+                if step < STEP_TOL:
+                    # The damped step has shrunk to nothing; we are at a
+                    # stationary point the objective cannot improve from.
+                    converged, message = True, "step below tolerance"
+                    accepted = True
+                    break
+                # One retry at the same damping, bent along the valley.
+                accel = _acceleration(spectrum, omega, x, r, jac, m, velocity)
+                if accel is not None:
+                    x_new, step, theta_new, z, dz, r_new, obj_new = trial(
+                        velocity + 0.5 * accel)
             if np.isfinite(obj_new) and obj_new < obj:
                 decrease = (obj - obj_new) / max(obj, 1e-300)
                 x, r, obj = x_new, r_new, obj_new
@@ -209,12 +266,6 @@ def fit_wcnls(spectrum: Spectrum, theta_start: ParameterVector) -> FitResult:
                     converged, message = True, "gradient below tolerance"
                 break
             lam *= DAMPING_FACTOR
-            if step < STEP_TOL:
-                # The damped step has shrunk to nothing; we are at a
-                # stationary point the objective cannot improve from.
-                converged, message = True, "step below tolerance"
-                accepted = True
-                break
         if not accepted:
             raise FitError(
                 f"damping exhausted at iteration {iterations} "
@@ -240,16 +291,20 @@ def _cpe_complex(q: float, phi: float, omega: np.ndarray) -> np.ndarray:
     return np.exp(-phi * (np.log(omega) + 1j * (np.pi / 2.0))) / q
 
 
-def _candidate(r_s, q_hf, phi_hf, r1, q1, p1, r2, q2, p2, q_lf, phi_lf) -> np.ndarray:
-    """The canonical row with the scale estimates clipped into [1e-18, 1e18].
+def _candidate(*columns) -> np.ndarray:
+    """Canonical candidate rows, with the scale estimates clipped into
+    [1e-18, 1e18], from the eleven columns in canonical order: each one
+    value for one row, or one value per row for a (k, 11) stack.
 
     The exponents need no clamp: :func:`initialize` clips each one into its
-    interval before it gets here, so only a NaN estimate can make the row
-    inadmissible; it raises the DomainError its ParameterVector raises."""
-    arr = np.array([r_s, q_hf, phi_hf, r1, q1, p1, r2, q2, p2, q_lf, phi_lf])
-    arr[_LOG_IDX] = np.clip(arr[_LOG_IDX], 1e-18, 1e18)
-    if not np.isfinite(arr).all():
-        ParameterVector.from_array(arr)
+    interval before it gets here, so only a NaN estimate can make a row
+    inadmissible; the first such row raises the DomainError its
+    ParameterVector raises."""
+    arr = np.array(columns, dtype=float).T
+    arr[..., _LOG_IDX] = np.clip(arr[..., _LOG_IDX], 1e-18, 1e18)
+    finite = np.isfinite(arr).all(axis=-1)
+    if not finite.all():
+        ParameterVector.from_array(arr[~finite][0])
     return arr
 
 
@@ -346,8 +401,13 @@ def initialize(spectrum: Spectrum) -> ParameterVector:
         if len(picked) == 2:
             break
 
+    def candidate(wc1, h1, r1, wc2, h2, r2):
+        phi1, q1 = _arc_params(wc1, h1, r1)
+        phi2, q2 = _arc_params(wc2, h2, r2)
+        return r_s, q_hf, phi_hf, r1, q1, phi1, r2, q2, phi2, q_lf, phi_lf
+
     splits = (0.15, 0.3, 0.5, 0.7, 0.85)
-    candidates = []
+    raw = []  # the unclipped candidate rows, in scoring order
     if len(picked) == 2:
         j1, j2 = sorted(picked)  # j1 = higher frequency
         wc1, h1 = omega[lo_band + j1], max(y[lo_band + j1], 1e-15)
@@ -357,11 +417,7 @@ def initialize(spectrum: Spectrum) -> ParameterVector:
                 # a bump below the other's rounding: one arc would get no resistance
                 continue
             r1, r2 = s * r_sum, (1.0 - s) * r_sum
-            p1, q1 = _arc_params(wc1, h1, r1)
-            p2, q2 = _arc_params(wc2, h2, r2)
-            candidates.append(
-                _candidate(r_s, q_hf, phi_hf, r1, q1, p1, r2, q2, p2, q_lf, phi_lf)
-            )
+            raw.append(candidate(wc1, h1, r1, wc2, h2, r2))
     # Single-bump hypotheses are evaluated even when two bumps were found:
     # with noisy data a detected second bump may be spurious, and the extra
     # candidates cost one more row of the scoring evaluation each.
@@ -371,22 +427,14 @@ def initialize(spectrum: Spectrum) -> ParameterVector:
     for ratio in (10.0**0.75, 10.0**1.25):
         for s in (0.3, 0.5, 0.7):
             r1, r2 = s * r_sum, (1.0 - s) * r_sum
-            # detected bump as the faster arc, hypothesized slower one
-            p1, q1 = _arc_params(wc, h, r1)
-            p2, q2 = _arc_params(wc / ratio, h, r2)
-            candidates.append(
-                _candidate(r_s, q_hf, phi_hf, r1, q1, p1, r2, q2, p2, q_lf, phi_lf)
-            )
+            # detected bump as the faster arc, hypothesized slower one,
             # or the slower arc, hypothesized faster one
-            p1b, q1b = _arc_params(wc * ratio, h, r1)
-            p2b, q2b = _arc_params(wc, h, r2)
-            candidates.append(
-                _candidate(r_s, q_hf, phi_hf, r1, q1b, p1b, r2, q2b, p2b, q_lf, phi_lf)
-            )
+            for wc1, wc2 in ((wc, wc / ratio), (wc * ratio, wc)):
+                raw.append(candidate(wc1, h, r1, wc2, h, r2))
 
     # One stacked model evaluation scores every candidate row; min() over
     # the per-row objectives keeps the first of equal scores.
-    rows = np.array(candidates)
+    rows = _candidate(*zip(*raw))
     r = _weighted_residuals(spectrum, _impedance(rows, omega))
     scores = [float(row @ row) for row in r]
     return ParameterVector.from_array(rows[min(range(len(rows)), key=scores.__getitem__)])

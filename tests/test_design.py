@@ -754,13 +754,13 @@ def test_trace_serialization_round_trip(tmp_path):
 # default run's bits; the other two constraints steer STATE_B elsewhere.
 _BIT_STABLE_TRACES = {
     "STATE_A": ("edc96d5981146e42", "6e0031bb9d1bc410"),
-    "STATE_B": ("5c6b4d1e866e5423", "a68a0b4f82227501"),
+    "STATE_B": ("5c663499ae8ccdb3", "1611e5aa2bef2ed2"),
     "STATE_A-unfrozen": ("edc96d5981146e42", "6e0031bb9d1bc410"),
-    "STATE_B-unfrozen": ("5c6b4d1e866e5423", "a68a0b4f82227501"),
+    "STATE_B-unfrozen": ("5c663499ae8ccdb3", "1611e5aa2bef2ed2"),
     "STATE_A-floor": ("edc96d5981146e42", "6e0031bb9d1bc410"),
-    "STATE_B-floor": ("c444a2a8a0170f35", "33a4c251090ad0e6"),
+    "STATE_B-floor": ("0fb67e96dfd23f35", "1cfaaa6cc482bd23"),
     "STATE_A-budget": ("edc96d5981146e42", "6e0031bb9d1bc410"),
-    "STATE_B-budget": ("83140bfe1069db80", "800278ab841d892b"),
+    "STATE_B-budget": ("b39649cd380fa716", "546fefe2ed2c7ad9"),
 }
 
 

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import decreasing_frequencies, thetas
 from eisopt import (
     DomainError,
+    EisoptError,
     ErrorStructure,
     FitError,
     FrequencyGrid,
@@ -17,6 +19,8 @@ from eisopt import (
     STATE_A,
     STATE_B,
     ParameterVector,
+    crlb,
+    fisher,
     fit_wcnls,
     initialize,
     log_spaced,
@@ -218,6 +222,18 @@ def test_a_nan_candidate_raises_the_domain_error_of_its_vector():
         _candidate(*args)
 
 
+def test_the_first_nan_candidate_row_raises():
+    from eisopt.estimation import _candidate
+
+    rows = np.tile(STATE_A.to_array(), (3, 1))
+    rows[1, 7] = rows[2, 4] = np.nan  # Q_2 in the second row, Q_1 in the third
+    with pytest.raises(DomainError, match="^Q_2 must be positive and finite, got nan$"):
+        _candidate(*rows.T)
+    rows[1:, [4, 7]] = 1e30
+    clipped = _candidate(*rows.T)
+    assert clipped.shape == (3, N_PARAMETERS) and (clipped[1:, [4, 7]] == 1e18).all()
+
+
 def test_initialize_skips_an_arc_of_zero_resistance():
     # Drawn over the whole admissible domain.  One bump is below the other's
     # rounding, so the height-ratio split h1/(h1 + h2) is exactly 1 and
@@ -301,11 +317,48 @@ def test_model_is_evaluated_once_per_trial_and_differentiated_once_per_accepted_
     polar = _counting(monkeypatch, eisopt.estimation, "_polar_sensitivities")
     # _project runs once on the start and once on every trial step.
     projections = _counting(monkeypatch, eisopt.estimation, "_project")
+    # An impedance-only evaluation probes each rejected step's acceleration.
+    probes = _counting(monkeypatch, eisopt.estimation, "_impedance")
     result = fit_wcnls(spectrum, start)
     trials = len(projections) - 1
     assert trials > result.iterations  # some trial steps were rejected
     assert len(model) == trials + 1
     assert len(polar) == result.iterations + 1 < len(model)
+    # Before rejected steps were retried with their geodesic acceleration:
+    # 31 iterations, 57 model evaluations and no impedance-only one.
+    assert (result.iterations, len(model), len(probes)) == (14, 27, 12)
+
+
+def test_a_probe_that_leaves_the_float_range_skips_the_retry():
+    from eisopt.estimation import _acceleration, _to_internal, _weighted_residuals
+
+    spectrum = _noiseless(STATE_A)
+    omega = 2.0 * np.pi * spectrum.grid.frequencies
+    x = _to_internal(STATE_A.to_array())
+    r = _weighted_residuals(spectrum, eisopt.estimation._impedance(STATE_A.to_array(), omega))
+    jac = np.zeros((r.size, N_PARAMETERS))
+    for k in (1, 4):  # Q_HF, then Q_1: exp underflows to 0 and overflows
+        velocity = np.zeros(N_PARAMETERS)
+        velocity[k] = (-1e4, 1e4)[k == 4]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _acceleration(spectrum, omega, x, r, jac, np.eye(N_PARAMETERS), velocity) is None
+
+
+def test_an_acceleration_whose_norm_overflows_is_skipped_silently():
+    # Realistic cell 53 on the dense sweep: one rejected step's acceleration
+    # is finite, but its squared norm is not.
+    theta = ParameterVector.from_array([
+        0.0022287130128190425, 3501786.265256113, -0.7152199240357957,
+        0.0097214735422846, 1.3358220229376252, 0.8123867721444025,
+        0.0021476283858277, 4.42611604694406, 0.670834271943549,
+        2982.0865008337482, 0.7401920085873445,
+    ])
+    spectrum = synthesize(theta, log_spaced_inclusive(1e4, 0.01, 10), ERR, seed=5053)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        start = initialize(spectrum)
+        assert fit_wcnls(spectrum, start).objective <= _objective(spectrum, start)
 
 
 # Results of fit_wcnls(s, initialize(s)) on GRID with synthesis seed 5, as
@@ -327,18 +380,18 @@ _BIT_STABLE_FITS = {
         "0x1.937cbf7a9c6bfp-68", 6, "gradient below tolerance",
     ),
     ("STATE_B", False): (
-        ("0x1.0a22908bceb56p-9", "0x1.3dbb6943593b7p+23", "-0x1.f8eebdc90e9ffp-1",
-         "0x1.30bd5649ef1c7p-7", "0x1.02ba6cd61934dp+3", "0x1.2720c9f08be4fp-1",
-         "0x1.ad740ba28d367p-6", "0x1.9cf290efd798dp+2", "0x1.eb15574ba1bbcp-1",
-         "0x1.062019be35242p+9", "0x1.f6bd658ec8eeep-2"),
-        "0x1.69fadf28fda3ep+6", 31, "objective decrease below tolerance",
+        ("0x1.0a22908ceda97p-9", "0x1.3dbb69476bb19p+23", "-0x1.f8eebdc9a37eep-1",
+         "0x1.30bd5641d89c5p-7", "0x1.02ba6cd024cdep+3", "0x1.2720c9f2c01e3p-1",
+         "0x1.ad740ba459ef6p-6", "0x1.9cf290ed55c63p+2", "0x1.eb15574ae6b6fp-1",
+         "0x1.062019b2d8942p+9", "0x1.f6bd6581985c2p-2"),
+        "0x1.69fadf28fda3cp+6", 14, "objective decrease below tolerance",
     ),
     ("STATE_B", True): (
-        ("0x1.085f4a12753f1p-9", "0x1.37478000097c7p+23", "-0x1.f810624dd4583p-1",
-         "0x1.3871609560002p-7", "0x1.09d2f1a9f0e8ap+3", "0x1.23bcd35a89148p-1",
-         "0x1.b1af3a14d48bcp-6", "0x1.9fced91683c25p+2", "0x1.e8c154c983e06p-1",
-         "0x1.38800000025ccp+9", "0x1.123a29c77aec3p-1"),
-        "0x1.283aca0251c91p-64", 31, "gradient below tolerance",
+        ("0x1.085f4a127858bp-9", "0x1.37478000156e8p+23", "-0x1.f810624dd61bep-1",
+         "0x1.3871609550d05p-7", "0x1.09d2f1a9e3100p+3", "0x1.23bcd35a8d8d5p-1",
+         "0x1.b1af3a14dbd45p-6", "0x1.9fced9167f76ep+2", "0x1.e8c154c981471p-1",
+         "0x1.38800000054fcp+9", "0x1.123a29c77c833p-1"),
+        "0x1.7a4498195351fp-62", 13, "gradient below tolerance",
     ),
 }
 
@@ -355,3 +408,69 @@ def test_fit_results_are_bit_stable(state, noiseless):
         result.message,
     )
     assert got == _BIT_STABLE_FITS[state, noiseless]
+
+
+# The STATE_B pins above as they were before rejected steps were retried
+# with their geodesic acceleration (31 iterations each): theta and
+# objective.  The retry changes the path, not the optimum.
+_UNACCELERATED_FITS = {
+    False: (
+        ("0x1.0a22908bceb56p-9", "0x1.3dbb6943593b7p+23", "-0x1.f8eebdc90e9ffp-1",
+         "0x1.30bd5649ef1c7p-7", "0x1.02ba6cd61934dp+3", "0x1.2720c9f08be4fp-1",
+         "0x1.ad740ba28d367p-6", "0x1.9cf290efd798dp+2", "0x1.eb15574ba1bbcp-1",
+         "0x1.062019be35242p+9", "0x1.f6bd658ec8eeep-2"),
+        "0x1.69fadf28fda3ep+6",
+    ),
+    True: (
+        ("0x1.085f4a12753f1p-9", "0x1.37478000097c7p+23", "-0x1.f810624dd4583p-1",
+         "0x1.3871609560002p-7", "0x1.09d2f1a9f0e8ap+3", "0x1.23bcd35a89148p-1",
+         "0x1.b1af3a14d48bcp-6", "0x1.9fced91683c25p+2", "0x1.e8c154c983e06p-1",
+         "0x1.38800000025ccp+9", "0x1.123a29c77aec3p-1"),
+        "0x1.283aca0251c91p-64",
+    ),
+}
+
+
+@pytest.mark.parametrize("noiseless", [False, True])
+def test_accelerated_fits_reach_the_unaccelerated_optimum(noiseless):
+    spectrum = synthesize(STATE_B, GRID, ERR, seed=5, noiseless=noiseless)
+    result = fit_wcnls(spectrum, initialize(spectrum))
+    hexes, objective = _UNACCELERATED_FITS[noiseless]
+    before = ParameterVector.from_array([float.fromhex(v) for v in hexes])
+    sd = np.sqrt(crlb(fisher(before, GRID, ERR)))
+    assert np.max(np.abs(result.theta.to_array() - before.to_array()) / sd) < 1e-6
+    assert result.objective == pytest.approx(float.fromhex(objective), rel=1e-12, abs=1e-15)
+
+
+PPD7 = reduce_ppd(log_spaced_inclusive(1e4, 0.01, 10), 0.1, 7)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(theta=thetas(), seed=st.integers(0, 2**32 - 1))
+def test_fits_never_end_above_their_start_and_probe_only_rejected_steps(theta, seed):
+    spectrum = synthesize(theta, PPD7, ERR, seed=seed)
+    counts = {}
+
+    def counted(name):
+        original = getattr(eisopt.estimation, name)
+
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args)
+        return mock.patch.object(eisopt.estimation, name, wrapper)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            start = initialize(spectrum)
+            with mock.patch.object(eisopt.estimation, "MAX_ITERATIONS", 0):
+                before = fit_wcnls(spectrum, start).objective
+            with counted("_project"), counted("_polar_sensitivities"), counted("_impedance"):
+                result = fit_wcnls(spectrum, start)
+        except EisoptError:
+            return
+    assert result.objective <= before
+    # _project runs on the start and each trial; _polar_sensitivities on
+    # the start and each accepted trial.  Only a rejected trial is probed.
+    rejected = counts["_project"] - counts["_polar_sensitivities"]
+    assert counts.get("_impedance", 0) <= rejected

@@ -5,7 +5,8 @@ files, one function of ``eisopt.design`` holds the loop's move rule, every
 binding the benchmark's tracer wraps exists and wraps every module's
 import of a traced layer, and every public name, and
 every public method or property of a public class, has a use outside the
-tests."""
+tests.  Under the suite's own settings, where warnings are errors, a failing
+Hypothesis property still reports its falsifying example."""
 
 import ast
 import importlib
@@ -141,6 +142,34 @@ def test_scipy_never_loads(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, str(tmp_path)],
                           capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+_FAILING_PROPERTY = textwrap.dedent("""
+    from hypothesis import given, settings, strategies as st
+
+
+    @settings(database=None)
+    @given(st.integers())
+    def test_fails(n):
+        assert n < 10
+
+
+    def test_passes():
+        pass
+""")
+
+
+def test_a_failing_property_reports_its_example(tmp_path):
+    # The suite's own settings: pyproject.toml's filterwarnings turns every
+    # warning into an error, the ones raised while Hypothesis reports too.
+    (tmp_path / "test_property.py").write_text(_FAILING_PROPERTY)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "test_property.py"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout
+    assert "1 failed, 1 passed" in proc.stdout
 
 
 # The shared writers: a CSV table or a JSON file written anywhere else would
