@@ -87,7 +87,8 @@ class DesignConfig:
 
 @dataclass(frozen=True, eq=False)
 class AdjustmentStep:
-    """One row of the loop trace; iteration 0 is the pre-loop evaluation."""
+    """One row of the loop trace; iteration 0 is the pre-loop evaluation.
+    ``fit_iterations`` and ``fit_message`` say how the row's fit ended."""
 
     iteration: int
     status: str
@@ -102,6 +103,8 @@ class AdjustmentStep:
     t_tot_s: float
     theta: ParameterVector
     grid: FrequencyGrid
+    fit_iterations: int
+    fit_message: str
 
     def to_json_dict(self) -> dict:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -131,7 +134,7 @@ class AdjustmentTrace:
     def save_csv(self, path) -> None:
         columns = ("iteration", "status", "index", "f_before_hz", "f_after_hz",
                    "lambda_min_before", "lambda_min_after", "log_volume",
-                   "normalized_volume", "t_tot_s")
+                   "normalized_volume", "t_tot_s", "fit_iterations", "fit_message")
         # csv writes a float as its repr and None as an empty cell
         rows = ([getattr(s, c) for c in columns] for s in self.steps)
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -495,13 +498,15 @@ def run_design(
     def fit_row(theta0, iteration, status, move=None):
         """Workspace and trace row of a fit from ``theta0``.  ``move`` is
         (index, f_before, f_after, lambda_before, lambda_after), else none."""
-        ws = _EigenWorkspace(fit_wcnls(spectrum, theta0).theta, spectrum.grid, err)
+        fit = fit_wcnls(spectrum, theta0)
+        ws = _EigenWorkspace(fit.theta, spectrum.grid, err)
         logv = ellipsoid_log_volume(ws.fim)
         logv_ref = ellipsoid_log_volume(fisher(ws.theta, reference_grid, err))
         return ws, AdjustmentStep(
             iteration, status, *(move or (None, None, None, ws.lambda_min, ws.lambda_min)),
             logv, logv_ref, math.exp(logv - logv_ref),
             total_time(spectrum.grid, cfg.n_p), ws.theta, spectrum.grid,
+            fit.iterations, fit.message,
         )
 
     try:

@@ -20,6 +20,21 @@ too does the damping rise.  In a sloppy valley this replaces the
 up-then-down damping ping-pong of small accepted steps with one bent
 step; a fit that rejects no trial runs exactly as it would without it.
 
+A fit also stops once the estimate is inside its own noise: the
+relative-offset criterion of Bates & Watts (Technometrics 23(2), 1981).
+Each iteration already forms A = J^T J and g = J^T r, so one more solve
+gives q = g^T A^-1 g, the squared length of the residual's projection
+onto the model's tangent plane (||Q_1^T r||^2 of a QR of J).  The fit
+stops when that projection is a negligible fraction of the residual left
+orthogonal to it, per degree of freedom:
+
+    sqrt(q / p) < OFFSET_TOL * sqrt((obj - q) / (N - p))
+
+with N residuals and p parameters.  What a further Gauss-Newton step
+could still gain is then far below the statistical uncertainty of the
+estimate.  A noiseless spectrum leaves obj - q ~ 0, so its fits stop by
+the step, objective and gradient rules as before.
+
 Initialization reads the circuit blocks off the spectrum's shape: the
 series resistance from the high-frequency real-axis crossing, the
 high-frequency CPE from the slope of the inductive tail, the diffusion
@@ -72,6 +87,10 @@ MAX_ITERATIONS = 200
 STEP_TOL = 1e-10
 OBJECTIVE_TOL = 1e-12
 GRADIENT_TOL = 1e-6
+# Relative-offset tolerance (Bates & Watts, 1981): the largest ratio of the
+# tangent-plane residual to the orthogonal residual, each per degree of
+# freedom, at which the iteration continues.
+OFFSET_TOL = 1e-3
 # Initial damping, its factor up after a rejected step and down after an
 # accepted one, and the damping at which the iteration gives up.
 DAMPING_INIT = 1e-3
@@ -174,6 +193,20 @@ def _acceleration(spectrum, omega, x, r, jac, m, velocity):
     return accel
 
 
+def _offset_converged(a: np.ndarray, g: np.ndarray, obj: float, n_residuals: int) -> bool:
+    """Whether the relative offset of the residuals r, given A = J^T J,
+    g = J^T r and obj = r^T r, is below OFFSET_TOL.  False when A is
+    singular or q = g^T A^-1 g is not finite."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = float(g @ np.linalg.solve(a, g))
+    except np.linalg.LinAlgError:
+        return False
+    p = N_PARAMETERS
+    return (math.isfinite(q) and 0.0 <= q < obj
+            and q * (n_residuals - p) < OFFSET_TOL**2 * p * (obj - q))
+
+
 def fit_wcnls(spectrum: Spectrum, theta_start: ParameterVector) -> FitResult:
     """Minimize the weighted magnitude/phase objective from ``theta_start``.
 
@@ -224,9 +257,12 @@ def fit_wcnls(spectrum: Spectrum, theta_start: ParameterVector) -> FitResult:
     message = "gradient below tolerance" if converged else "max iterations reached"
 
     while not converged and iterations < MAX_ITERATIONS:
-        iterations += 1
         a = jac.T @ jac
         g = jac.T @ r
+        if _offset_converged(a, g, obj, r.size):
+            converged, message = True, "relative offset below tolerance"
+            break
+        iterations += 1
         diag = np.maximum(np.diag(a), 1e-300)
         accepted = False
         while lam <= DAMPING_MAX:

@@ -30,8 +30,20 @@ from eisopt import (
     synthesize,
 )
 import eisopt.estimation
-from eisopt.circuit import LOG_SCALE_INDICES, N_PARAMETERS, _impedance_and_gradient
-from eisopt.estimation import _LOWER, _UPPER, _from_internal, _project
+from eisopt.circuit import (
+    LOG_SCALE_INDICES,
+    N_PARAMETERS,
+    _impedance_and_gradient,
+    _polar_sensitivities,
+)
+from eisopt.estimation import (
+    _LOWER,
+    _UPPER,
+    _from_internal,
+    _offset_converged,
+    _project,
+    _weighted_residuals,
+)
 from eisopt.measurement import Spectrum
 
 
@@ -324,9 +336,11 @@ def test_model_is_evaluated_once_per_trial_and_differentiated_once_per_accepted_
     assert trials > result.iterations  # some trial steps were rejected
     assert len(model) == trials + 1
     assert len(polar) == result.iterations + 1 < len(model)
-    # Before rejected steps were retried with their geodesic acceleration:
-    # 31 iterations, 57 model evaluations and no impedance-only one.
-    assert (result.iterations, len(model), len(probes)) == (14, 27, 12)
+    # Polished to a 1e-12 relative decrease, before the relative-offset
+    # stop: (14, 27, 12).  Before rejected steps were also retried with
+    # their geodesic acceleration: 31 iterations, 57 model evaluations and
+    # no impedance-only one.
+    assert (result.iterations, len(model), len(probes)) == (13, 26, 12)
 
 
 def test_a_probe_that_leaves_the_float_range_skips_the_retry():
@@ -366,11 +380,11 @@ def test_an_acceleration_whose_norm_overflows_is_skipped_silently():
 # arithmetic of the estimation path shows here as a changed bit.
 _BIT_STABLE_FITS = {
     ("STATE_A", False): (
-        ("0x1.fe1888fa6cc55p-10", "0x1.614c36fc9f439p+23", "-0x1.f909f4791ca78p-1",
-         "0x1.42105d225b256p-9", "0x1.36512eedba113p+2", "0x1.525ed2dcccba1p-1",
-         "0x1.a32c7de8e3bedp-9", "0x1.a05b0ddec06f4p+2", "0x1.e1253d6b43214p-1",
-         "0x1.a7aabbd636340p+9", "0x1.1b2283719de46p-1"),
-        "0x1.763c9f1f22df2p+6", 9, "objective decrease below tolerance",
+        ("0x1.fe16917db0823p-10", "0x1.61487b8291c62p+23", "-0x1.f9097c5019d21p-1",
+         "0x1.4216df3a492e1p-9", "0x1.365ce70c68693p+2", "0x1.525bd4b1010ecp-1",
+         "0x1.a3271b9331e91p-9", "0x1.a05ccaab523c7p+2", "0x1.e126ca3ee88c4p-1",
+         "0x1.a7aacf18139e0p+9", "0x1.1b2286ab35af8p-1"),
+        "0x1.763c9f785a795p+6", 5, "relative offset below tolerance",
     ),
     ("STATE_A", True): (
         ("0x1.fbc5de9bffc55p-10", "0x1.59757ffffb645p+23", "-0x1.f810624dd2595p-1",
@@ -380,11 +394,11 @@ _BIT_STABLE_FITS = {
         "0x1.937cbf7a9c6bfp-68", 6, "gradient below tolerance",
     ),
     ("STATE_B", False): (
-        ("0x1.0a22908ceda97p-9", "0x1.3dbb69476bb19p+23", "-0x1.f8eebdc9a37eep-1",
-         "0x1.30bd5641d89c5p-7", "0x1.02ba6cd024cdep+3", "0x1.2720c9f2c01e3p-1",
-         "0x1.ad740ba459ef6p-6", "0x1.9cf290ed55c63p+2", "0x1.eb15574ae6b6fp-1",
-         "0x1.062019b2d8942p+9", "0x1.f6bd6581985c2p-2"),
-        "0x1.69fadf28fda3cp+6", 14, "objective decrease below tolerance",
+        ("0x1.0a2290ee14e81p-9", "0x1.3dbb6a6d0281ap+23", "-0x1.f8eebdf1d6f00p-1",
+         "0x1.30bd54d9e07e2p-7", "0x1.02ba6b95a7276p+3", "0x1.2720ca3c9be84p-1",
+         "0x1.ad740d439d3f5p-6", "0x1.9cf290b2aaaefp+2", "0x1.eb15569593c51p-1",
+         "0x1.06201f2346b2cp+9", "0x1.f6bd6bd2b2942p-2"),
+        "0x1.69fadf28fe475p+6", 13, "relative offset below tolerance",
     ),
     ("STATE_B", True): (
         ("0x1.085f4a127858bp-9", "0x1.37478000156e8p+23", "-0x1.f810624dd61bep-1",
@@ -411,8 +425,10 @@ def test_fit_results_are_bit_stable(state, noiseless):
 
 
 # The STATE_B pins above as they were before rejected steps were retried
-# with their geodesic acceleration (31 iterations each): theta and
-# objective.  The retry changes the path, not the optimum.
+# with their geodesic acceleration (31 iterations each) and before fits
+# stopped at the relative offset: theta and objective.  The retry changes
+# the path, not the optimum, so the polished fit (OFFSET_TOL = 0) still
+# reaches it.
 _UNACCELERATED_FITS = {
     False: (
         ("0x1.0a22908bceb56p-9", "0x1.3dbb6943593b7p+23", "-0x1.f8eebdc90e9ffp-1",
@@ -432,7 +448,8 @@ _UNACCELERATED_FITS = {
 
 
 @pytest.mark.parametrize("noiseless", [False, True])
-def test_accelerated_fits_reach_the_unaccelerated_optimum(noiseless):
+def test_accelerated_fits_reach_the_unaccelerated_optimum(noiseless, monkeypatch):
+    monkeypatch.setattr(eisopt.estimation, "OFFSET_TOL", 0.0)
     spectrum = synthesize(STATE_B, GRID, ERR, seed=5, noiseless=noiseless)
     result = fit_wcnls(spectrum, initialize(spectrum))
     hexes, objective = _UNACCELERATED_FITS[noiseless]
@@ -440,6 +457,36 @@ def test_accelerated_fits_reach_the_unaccelerated_optimum(noiseless):
     sd = np.sqrt(crlb(fisher(before, GRID, ERR)))
     assert np.max(np.abs(result.theta.to_array() - before.to_array()) / sd) < 1e-6
     assert result.objective == pytest.approx(float.fromhex(objective), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("state, noiseless", sorted(_BIT_STABLE_FITS))
+def test_offset_stopped_fits_are_inside_their_noise(state, noiseless, monkeypatch):
+    theta = {"STATE_A": STATE_A, "STATE_B": STATE_B}[state]
+    spectrum = synthesize(theta, GRID, ERR, seed=5, noiseless=noiseless)
+    start = initialize(spectrum)
+    stopped = fit_wcnls(spectrum, start)
+    monkeypatch.setattr(eisopt.estimation, "OFFSET_TOL", 0.0)
+    polished = fit_wcnls(spectrum, start)
+    sd = np.sqrt(crlb(fisher(polished.theta, GRID, ERR)))
+    assert np.max(np.abs(stopped.theta.to_array() - polished.theta.to_array()) / sd) < 0.01
+    assert polished.objective <= stopped.objective <= polished.objective * (1.0 + 1e-6)
+
+
+def test_noiseless_fits_do_not_stop_on_the_offset():
+    # With no noise the residual left orthogonal to the model is rounding
+    # only, so the offset never looks small and the old rules stop the fit.
+    rng = np.random.default_rng(13)
+    for theta in (STATE_A, STATE_B):
+        spectrum = _noiseless(theta)
+        truth = theta.to_array()
+        starts = [initialize(spectrum)] + [
+            _perturbed(theta, rng.choice([-1.0, 1.0], size=11)) for _ in range(3)]
+        for start in starts:
+            result = fit_wcnls(spectrum, start)
+            assert result.converged
+            assert result.message != "relative offset below tolerance"
+            rel = np.abs(result.theta.to_array() - truth) / np.abs(truth)
+            assert np.max(rel) < 1e-6, f"worst relative error {np.max(rel):.2e}"
 
 
 PPD7 = reduce_ppd(log_spaced_inclusive(1e4, 0.01, 10), 0.1, 7)
@@ -474,3 +521,35 @@ def test_fits_never_end_above_their_start_and_probe_only_rejected_steps(theta, s
     # the start and each accepted trial.  Only a rejected trial is probed.
     rejected = counts["_project"] - counts["_polar_sensitivities"]
     assert counts.get("_impedance", 0) <= rejected
+
+
+def _weighted_jacobian(spectrum, theta):
+    """Weighted residuals and their Jacobian in the fit's internal
+    coordinates (log for the scales) at ``theta``."""
+    omega = 2.0 * np.pi * spectrum.grid.frequencies
+    z, dz = _impedance_and_gradient(theta, omega)
+    _, dmag, dphase = _polar_sensitivities(z, dz)
+    jac = np.concatenate([dmag / spectrum.sigma_mag_ohm[:, None],
+                          dphase / spectrum.sigma_phase_rad[:, None]])
+    jac[:, LOG_SCALE_INDICES] *= theta[list(LOG_SCALE_INDICES)]
+    return _weighted_residuals(spectrum, z), jac
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(theta=thetas(), seed=st.integers(0, 2**32 - 1))
+def test_the_offset_stop_decides_as_the_qr_form_does(theta, seed):
+    spectrum = synthesize(theta, PPD7, ERR, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            start = initialize(spectrum)
+            end = fit_wcnls(spectrum, start).theta
+        except EisoptError:
+            return
+        for point in (start, end):
+            r, jac = _weighted_jacobian(spectrum, point.to_array())
+            obj, n, p = float(r @ r), r.size, N_PARAMETERS
+            normal = _offset_converged(jac.T @ jac, jac.T @ r, obj, n)
+            q = float(np.sum((np.linalg.qr(jac)[0].T @ r) ** 2))
+            qr = 0.0 <= q < obj and q * (n - p) < eisopt.estimation.OFFSET_TOL**2 * p * (obj - q)
+            assert normal == qr
